@@ -7,6 +7,12 @@
 //! [`lower_program`](crate::lower::lower_program), each justified by
 //! facts the kinds already state:
 //!
+//! 0. [`eliminate_dead_globals`](usage::eliminate_dead_globals), first —
+//!    when the caller names entry points, every binding they cannot
+//!    reach is dropped before any pass runs. Passes 1–5 only act on
+//!    code reachable from the entries, so the rest (most of the prelude,
+//!    for a typical program) would be specialised, inlined, split and
+//!    re-checked after every pass only to be dropped by pass 6;
 //! 1. [`specialise_functions`](spec_fun::specialise_functions) — a
 //!    constrained function called with statically known dictionaries is
 //!    cloned per distinct dictionary tuple, the dictionary λ dropped
@@ -29,13 +35,13 @@
 //! 5. inline + simplify again, so wrappers vanish at call sites,
 //!    workers tail-call themselves on raw registers, and CPR reboxes
 //!    cancel against call-site scrutinies;
-//! 6. [`eliminate_dead_globals`](usage::eliminate_dead_globals) — the
-//!    specialised-away originals, orphaned selectors and stale wrappers
-//!    left behind by 1–5 are dropped: nothing reachable from the entry
-//!    points mentions them, so they would only cost lowering and code
-//!    size. The entry-point set is the caller's
-//!    ([`optimise_program`]'s `entry_points`; `None` keeps every
-//!    binding).
+//! 6. [`eliminate_dead_globals`](usage::eliminate_dead_globals) again,
+//!    last — the specialised-away originals, orphaned selectors and
+//!    stale wrappers left behind by 1–5 are dropped: nothing reachable
+//!    from the entry points mentions them, so they would only cost
+//!    lowering and code size. The entry-point set is the caller's
+//!    ([`optimise_program`]'s `entry_points`; `None` skips both
+//!    eliminations and keeps every binding).
 //!
 //! The worked §7.3 example, end to end. The elaborated
 //!
@@ -111,7 +117,8 @@ impl fmt::Display for OptLevel {
 /// rather than with the program). Counters for iterated passes
 /// therefore record the **busiest single round** ([`fold_round`]);
 /// single-shot passes (worker/wrapper, dead-global elimination) report
-/// plain totals.
+/// plain totals. With entry points, every pass counter covers only the
+/// code the entries reach: the rest is pruned before the passes run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OptReport {
     /// Monomorphised clones of constrained functions created (per-round
@@ -133,7 +140,8 @@ pub struct OptReport {
     /// Workers whose *result* was unboxed to `(# … #)` (constructed
     /// product result); a subset of [`OptReport::workers`].
     pub cpr_workers: usize,
-    /// Unreachable top-level bindings eliminated.
+    /// Unreachable top-level bindings eliminated, before and after the
+    /// passes together.
     pub dead_globals: usize,
     /// Core-lint runs performed ([`crate::lint`]): after every pass
     /// under `debug_assertions`, once per optimise in release.
@@ -168,9 +176,12 @@ const SPEC_ROUNDS: usize = 3;
 /// [`TypeEnv`] — already covering any worker globals the split added,
 /// so the caller can lower without re-checking.
 ///
-/// `entry_points` drives the final dead-global elimination: bindings
-/// unreachable from the set are dropped. `None` disables elimination
-/// (every binding is kept, as before the pass existed).
+/// `entry_points` drives dead-global elimination, which runs both
+/// before the passes (so they only see code the entries reach) and
+/// after them (for the code they orphaned); bindings unreachable from
+/// the set are dropped, and [`OptReport::dead_globals`] counts both
+/// rounds. `None` disables elimination (every binding is kept, as
+/// before the pass existed).
 ///
 /// # Errors
 ///
@@ -183,7 +194,18 @@ pub fn optimise_program(
     entry_points: Option<&HashSet<Symbol>>,
 ) -> Result<(Program, OptReport, TypeEnv), (Symbol, CoreError)> {
     let mut report = OptReport::default();
-    let mut cur = prog.clone();
+    // Prune first: the passes below only ever act on code reachable
+    // from the entries, so the rest would be optimised, re-checked
+    // after every pass and then dropped at the end.
+    let mut cur = match entry_points {
+        Some(entries) => {
+            let (pruned, dropped) = usage::eliminate_dead_globals(prog, entries);
+            report.dead_globals = dropped;
+            validate(&pruned, "dead-globals", &mut report)?;
+            pruned
+        }
+        None => prog.clone(),
+    };
     let mut env_opt: Option<TypeEnv> = None;
 
     let no_force: HashSet<Symbol> = HashSet::new();
@@ -242,7 +264,7 @@ pub fn optimise_program(
 
     if let Some(entries) = entry_points {
         let (next, dropped) = usage::eliminate_dead_globals(&cur, entries);
-        report.dead_globals = dropped;
+        report.dead_globals += dropped;
         cur = next;
         env = validate(&cur, "dead-globals", &mut report)?;
     }
@@ -403,6 +425,59 @@ mod tests {
                 && second.fn_specialised <= first.fn_specialised,
             "re-optimising normal-form output inflated the report: first {first:?}, second {second:?}"
         );
+    }
+
+    /// Pruning runs before the passes: an unreachable binding that
+    /// the passes would otherwise act on (here, a worker/wrapper
+    /// candidate) is never processed, so no pass reports work on it.
+    #[test]
+    fn unreachable_bindings_are_pruned_before_any_pass() {
+        let env = TypeEnv::new();
+        let ih = Type::con0(&env.builtins.int_hash);
+        let int = Type::con0(&env.builtins.int);
+        // inc n = case n of I# k -> I# (k +# 1#) — strict in a boxed
+        // argument, so worker/wrapper splits it whenever it is seen.
+        let inc_body = CoreExpr::lam(
+            "n",
+            int.clone(),
+            CoreExpr::case(
+                CoreExpr::Var("n".into()),
+                vec![levity_ir::terms::CoreAlt::Con {
+                    con: std::sync::Arc::clone(&env.builtins.i_hash),
+                    binders: vec![("k".into(), ih.clone())],
+                    rhs: CoreExpr::Con(
+                        std::sync::Arc::clone(&env.builtins.i_hash),
+                        vec![],
+                        vec![CoreExpr::Prim(
+                            levity_m::syntax::PrimOp::AddI,
+                            vec![CoreExpr::Var("k".into()), CoreExpr::int(1)],
+                        )],
+                    ),
+                }],
+            ),
+        );
+        let prog = Program {
+            data_decls: env.builtins.data_decls.clone(),
+            bindings: vec![
+                TopBind {
+                    name: "inc".into(),
+                    ty: Type::fun(int.clone(), int),
+                    expr: inc_body,
+                },
+                TopBind {
+                    name: "main".into(),
+                    ty: ih,
+                    expr: CoreExpr::int(42),
+                },
+            ],
+        };
+        let (_, everything, _) = optimise_program(&prog, None).unwrap();
+        assert_eq!(everything.workers, 1, "{everything:?}");
+        let entries: HashSet<Symbol> = ["main".into()].into();
+        let (out, pruned, _) = optimise_program(&prog, Some(&entries)).unwrap();
+        assert_eq!(pruned.workers, 0, "{pruned:?}");
+        assert_eq!(pruned.dead_globals, 1, "{pruned:?}");
+        assert_eq!(out.bindings.len(), 1);
     }
 
     /// With an entry set, unreachable bindings disappear even when no

@@ -1,13 +1,22 @@
 //! Global usage analysis and dead-global elimination.
 //!
-//! Function specialisation leaves the constrained originals behind with
-//! no remaining callers, the dictionary pass orphans selectors whose
-//! every projection became a direct instance-method call, and the
+//! The optimizer runs the elimination twice when it has entry points.
+//!
+//! *Before* the passes, it prunes the program to what the entries
+//! reach. A tenant's module is compiled together with the whole
+//! prelude, and usually calls a handful of its ~95 bindings; every
+//! pass only acts on reachable code, so optimising and re-checking the
+//! rest would be work thrown away.
+//!
+//! *After* the passes, it drops what they orphaned. Function
+//! specialisation leaves the constrained originals behind with no
+//! remaining callers, the dictionary pass orphans selectors whose every
+//! projection became a direct instance-method call, and the
 //! worker/wrapper split strands wrappers once every call site has
-//! inlined them. Until this pass, all of them were still lowered,
-//! compiled into the environment engine's [`CodeProgram`], and carried
-//! through every run — paying compile time and code size for bindings
-//! no execution can reach.
+//! inlined them. Kept, all of them would still be lowered, compiled
+//! into the environment engine's [`CodeProgram`], and carried through
+//! every run — paying compile time and code size for bindings no
+//! execution can reach.
 //!
 //! The analysis is a reachability walk over the top-level call graph
 //! ([`globals_of`] collects each binding's referenced globals) from an

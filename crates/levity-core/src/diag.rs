@@ -29,6 +29,14 @@ impl Span {
     /// The empty span at offset zero, used for generated code.
     pub const SYNTHETIC: Span = Span { start: 0, end: 0 };
 
+    /// The same span, moved `by` positions further into the source.
+    pub fn shifted(self, by: usize) -> Span {
+        Span {
+            start: self.start + by,
+            end: self.end + by,
+        }
+    }
+
     /// Smallest span covering both `self` and `other`.
     pub fn to(self, other: Span) -> Span {
         Span {

@@ -38,9 +38,9 @@ pub mod prelude;
 
 pub use levity_compile::opt::{OptLevel, OptReport};
 pub use pipeline::{
-    compile_prelude, compile_source, compile_source_entries, compile_source_opt,
-    compile_with_prelude, compile_with_prelude_entries, compile_with_prelude_opt, Compiled,
-    PipelineError, RunLimits,
+    compile_module_entries, compile_prelude, compile_source, compile_source_entries,
+    compile_source_opt, compile_with_prelude, compile_with_prelude_entries,
+    compile_with_prelude_opt, Compiled, PipelineError, RunLimits,
 };
 pub use prelude::PRELUDE;
 

@@ -11,6 +11,16 @@
 //! *where* a program is rejected — in particular, levity violations are
 //! distinguishable from ordinary type errors, mirroring GHC (§8.2).
 //!
+//! Every `compile_*` function parses and then hands the module to
+//! [`compile_module_entries`], the one implementation of the stages
+//! after the parser. The [`PRELUDE`] is lexed and parsed once per
+//! process: [`compile_with_prelude`] and friends parse only the user's
+//! source, offsetting its spans as if it followed the prelude text
+//! (after one newline), so diagnostics point where they would in the
+//! text `PRELUDE + "\n" + source`. Layout does not cross that
+//! boundary: an indented first line starts the user's first
+//! declaration rather than continuing the prelude's last one.
+//!
 //! The optimizer runs at [`OptLevel::O2`] by default and is selectable
 //! like the engine: [`compile_source_opt`] / [`compile_with_prelude_opt`]
 //! take an explicit level, and `O0` lowers the elaborated Core verbatim
@@ -21,26 +31,29 @@
 //!
 //! # Entry points
 //!
-//! At `O2` the optimizer finishes with dead-global elimination, driven
-//! by an explicit entry-point set recorded in
-//! [`Compiled::entry_points`]:
+//! At `O2` the optimizer starts and finishes with dead-global
+//! elimination, driven by an explicit entry-point set recorded in
+//! [`Compiled::entry_points`]. The first round prunes the program to
+//! what the entries reach, so no pass spends time on prelude bindings
+//! the program never calls; the last drops what the passes orphaned.
+//! The set is:
 //!
 //! * by default, `main` when the module defines it, otherwise **every**
 //!   top-level binding (so a library-shaped module — the bare prelude,
 //!   a module driven through [`Compiled::run_term`] — keeps everything
 //!   runnable, exactly as before the pass existed);
-//! * [`compile_source_entries`] / [`compile_with_prelude_entries`]
-//!   accept an explicit list — name the globals you intend to run, and
-//!   everything they cannot reach is dropped before lowering. An
-//!   exported-but-unused global survives elimination precisely by being
-//!   listed.
+//! * [`compile_source_entries`] / [`compile_with_prelude_entries`] /
+//!   [`compile_module_entries`] accept an explicit list — name the
+//!   globals you intend to run, and everything they cannot reach is
+//!   dropped before optimising. An exported-but-unused global survives
+//!   elimination precisely by being listed.
 //!
 //! Running a global that elimination removed fails with the machine's
 //! ordinary `UnknownGlobal` error; `O0` never eliminates anything.
 
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use levity_core::diag::{Diagnostic, Diagnostics};
 use levity_core::pretty::PrintOptions;
@@ -60,7 +73,8 @@ use levity_m::regmachine::BcMachine;
 use levity_m::syntax::MExpr;
 use levity_m::verify::{VerifiedProgram, VerifyError};
 use levity_m::Engine;
-use levity_surface::parser::parse_module;
+use levity_surface::ast::Module;
+use levity_surface::parser::{parse_module, parse_module_at};
 
 use crate::prelude::PRELUDE;
 
@@ -383,7 +397,22 @@ pub fn compile_source_entries(
     entries: Option<&[&str]>,
 ) -> Result<Compiled, PipelineError> {
     let module = parse_module(source).map_err(PipelineError::Parse)?;
-    let elaborated = elaborate_module(&module).map_err(PipelineError::Elaborate)?;
+    compile_module_entries(&module, opt_level, entries)
+}
+
+/// Compiles a parsed module: every stage after the parser, with the
+/// entry-point policy of [`compile_source_entries`]. Every `compile_*`
+/// function ends here.
+///
+/// # Errors
+///
+/// See [`PipelineError`]; never [`PipelineError::Parse`].
+pub fn compile_module_entries(
+    module: &Module,
+    opt_level: OptLevel,
+    entries: Option<&[&str]>,
+) -> Result<Compiled, PipelineError> {
+    let elaborated = elaborate_module(module).map_err(PipelineError::Elaborate)?;
     // Core lint: the elaborator must produce well-typed Core.
     let env = levity_ir::typecheck::check_program(&elaborated.program)
         .map_err(|(name, e)| PipelineError::CoreLint(name, e))?;
@@ -510,11 +539,14 @@ pub fn compile_with_prelude_entries(
     opt_level: OptLevel,
     entries: Option<&[&str]>,
 ) -> Result<Compiled, PipelineError> {
-    let mut combined = String::with_capacity(PRELUDE.len() + source.len() + 1);
-    combined.push_str(PRELUDE);
-    combined.push('\n');
-    combined.push_str(source);
-    compile_source_entries(&combined, opt_level, entries)
+    let prelude = parsed_prelude()?;
+    // Spans point into the text `PRELUDE + "\n" + source`, so every
+    // diagnostic reads as if that text had been parsed whole.
+    let user = parse_module_at(source, prelude.user_base).map_err(PipelineError::Parse)?;
+    let mut decls = Vec::with_capacity(prelude.module.decls.len() + user.decls.len());
+    decls.extend(prelude.module.decls.iter().cloned());
+    decls.extend(user.decls);
+    compile_module_entries(&Module { decls }, opt_level, entries)
 }
 
 /// Compiles just the prelude (used by benchmarks that only need the
@@ -524,5 +556,26 @@ pub fn compile_with_prelude_entries(
 ///
 /// See [`PipelineError`]; failure here is a bug in the prelude.
 pub fn compile_prelude() -> Result<Compiled, PipelineError> {
-    compile_source(PRELUDE)
+    compile_module_entries(&parsed_prelude()?.module, OptLevel::default(), None)
+}
+
+/// The [`PRELUDE`], lexed and parsed once per process.
+struct ParsedPrelude {
+    module: Module,
+    /// Where user source starts in the text `PRELUDE + "\n" + source`,
+    /// in the lexer's character offsets.
+    user_base: usize,
+}
+
+fn parsed_prelude() -> Result<&'static ParsedPrelude, PipelineError> {
+    static PARSED: OnceLock<Result<ParsedPrelude, Diagnostic>> = OnceLock::new();
+    PARSED
+        .get_or_init(|| {
+            parse_module(PRELUDE).map(|module| ParsedPrelude {
+                module,
+                user_base: PRELUDE.chars().count() + 1,
+            })
+        })
+        .as_ref()
+        .map_err(|d| PipelineError::Parse(d.clone()))
 }

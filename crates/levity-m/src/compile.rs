@@ -165,8 +165,14 @@ impl CodeProgram {
     /// first, then each body is compiled against the full table.
     pub fn compile(globals: &Globals) -> CodeProgram {
         let mut entries: Vec<(Symbol, &Arc<MExpr>)> = globals.iter().collect();
-        // Deterministic id assignment (HashMap iteration order is not).
-        entries.sort_by_key(|(name, _)| *name);
+        // Deterministic id assignment (HashMap iteration order is not),
+        // keyed on the names' text: symbols have no order of their own
+        // (see `Symbol`). Source-level names come before the
+        // compiler-minted `$`-prefixed ones (workers, specialisations).
+        entries.sort_by_cached_key(|(name, _)| {
+            let text = name.as_str();
+            (text.starts_with('$'), text)
+        });
         let mut program = CodeProgram::default();
         for (ix, (name, _)) in entries.iter().enumerate() {
             program.ids.insert(*name, GlobalId(ix as u32));

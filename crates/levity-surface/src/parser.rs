@@ -36,10 +36,19 @@ fn fixity(op: Symbol) -> Option<(u8, bool)> {
     })
 }
 
+/// How deeply expressions, types, kinds and representations may nest
+/// (parentheses, operator chains, λ and `let` bodies, arrows). The
+/// parser recurses once per level, so without a bound a short hostile
+/// source such as a thousand `(` overflows a 2 MiB thread stack and
+/// aborts the process; past the bound it returns a parse error instead.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser {
     toks: Vec<Lexed>,
     pos: usize,
     brace_depth: usize,
+    /// Current nesting, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 type PResult<T> = Result<T, Diagnostic>;
@@ -50,7 +59,25 @@ impl Parser {
             toks,
             pos: 0,
             brace_depth: 0,
+            depth: 0,
         }
+    }
+
+    /// Enters one more nesting level, failing once the source nests
+    /// past [`MAX_NESTING`]. A recursive call steps back out when it
+    /// returns; a loop that grows a left-nested spine (`f a b c`,
+    /// `a + b + c`, `T a b`) descends once per step and resets the depth
+    /// when it ends. A failed parse may leave the depth raised, so the
+    /// one place that recovers from a failure (`ty`'s lookahead for a
+    /// constraint context) restores it along with the position.
+    fn descend(&mut self) -> PResult<()> {
+        if self.depth >= MAX_NESTING {
+            return self.error(format!(
+                "the source nests deeper than the parser's limit of {MAX_NESTING} levels"
+            ));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     /// Skips TopSep tokens when inside braces (explicit blocks ignore the
@@ -364,6 +391,13 @@ impl Parser {
     // -----------------------------------------------------------------
 
     fn kind(&mut self) -> PResult<SKind> {
+        self.descend()?;
+        let k = self.kind_here();
+        self.depth -= 1;
+        k
+    }
+
+    fn kind_here(&mut self) -> PResult<SKind> {
         let lhs = self.kind_atom()?;
         if self.eat(&Tok::Arrow) {
             let rhs = self.kind()?;
@@ -399,6 +433,13 @@ impl Parser {
     }
 
     fn rep_atom(&mut self) -> PResult<SRep> {
+        self.descend()?;
+        let r = self.rep_atom_here();
+        self.depth -= 1;
+        r
+    }
+
+    fn rep_atom_here(&mut self) -> PResult<SRep> {
         match self.peek().clone() {
             Tok::ConId(s) if s.as_str() == "TupleRep" => {
                 self.next();
@@ -440,6 +481,13 @@ impl Parser {
     // -----------------------------------------------------------------
 
     fn ty(&mut self) -> PResult<SType> {
+        self.descend()?;
+        let t = self.ty_here();
+        self.depth -= 1;
+        t
+    }
+
+    fn ty_here(&mut self) -> PResult<SType> {
         if self.eat(&Tok::Forall) {
             let mut binders = Vec::new();
             loop {
@@ -470,16 +518,14 @@ impl Parser {
             return Ok(SType::Forall(binders, Box::new(body)));
         }
         // Try a constraint context: `C a => τ` or `(C a, D b) => τ`.
-        let save = self.pos;
+        let save = (self.pos, self.depth);
         if let Ok(ctx) = self.try_context() {
             if self.eat(&Tok::FatArrow) {
                 let body = self.ty()?;
                 return Ok(SType::Qual(ctx, Box::new(body)));
             }
-            self.pos = save;
-        } else {
-            self.pos = save;
         }
+        (self.pos, self.depth) = save;
         let lhs = self.btype()?;
         if self.eat(&Tok::Arrow) {
             let rhs = self.ty()?;
@@ -510,11 +556,14 @@ impl Parser {
     }
 
     fn btype(&mut self) -> PResult<SType> {
+        let base = self.depth;
         let mut t = self.atype()?;
         while self.starts_atype() {
+            self.descend()?;
             let arg = self.atype()?;
             t = SType::App(Box::new(t), Box::new(arg));
         }
+        self.depth = base;
         Ok(t)
     }
 
@@ -659,6 +708,13 @@ impl Parser {
     // -----------------------------------------------------------------
 
     fn expr(&mut self) -> PResult<SExpr> {
+        self.descend()?;
+        let e = self.expr_here();
+        self.depth -= 1;
+        e
+    }
+
+    fn expr_here(&mut self) -> PResult<SExpr> {
         let e = self.op_expr(0)?;
         // Optional type ascription.
         if self.eat(&Tok::DColon) {
@@ -670,6 +726,7 @@ impl Parser {
     }
 
     fn op_expr(&mut self, min_prec: u8) -> PResult<SExpr> {
+        let base = self.depth;
         let mut lhs = self.app_expr()?;
         while let Tok::Op(s) = self.peek().clone() {
             let (op, prec, right) = match fixity(s) {
@@ -679,6 +736,9 @@ impl Parser {
             let op_span = self.span();
             self.next();
             let next_min = if right { prec } else { prec + 1 };
+            // Both operands end up one level deeper: the left one under
+            // the new application node, the right one by recursion.
+            self.descend()?;
             let rhs = self.op_expr(next_min)?;
             let span = lhs.span.to(rhs.span);
             lhs = SExpr::new(
@@ -689,25 +749,30 @@ impl Parser {
                 span,
             );
         }
+        self.depth = base;
         Ok(lhs)
     }
 
     fn app_expr(&mut self) -> PResult<SExpr> {
+        let base = self.depth;
         let mut e = self.aexpr()?;
         loop {
             if self.eat(&Tok::At) {
+                self.descend()?;
                 let t = self.atype()?;
                 let span = e.span;
                 e = SExpr::new(SExprNode::TyApp(Box::new(e), t), span);
                 continue;
             }
             if self.starts_aexpr() {
+                self.descend()?;
                 let arg = self.aexpr()?;
                 e = SExpr::app(e, arg);
                 continue;
             }
             break;
         }
+        self.depth = base;
         Ok(e)
     }
 
@@ -733,153 +798,152 @@ impl Parser {
         )
     }
 
+    /// An atomic expression. Each compound form is parsed by its own
+    /// function, so the frame this recursion passes through stays small
+    /// (the parser recurses once per nesting level; see
+    /// [`MAX_NESTING`]).
     fn aexpr(&mut self) -> PResult<SExpr> {
+        match self.peek() {
+            Tok::Backslash => self.lambda(),
+            Tok::Let => self.let_expr(),
+            Tok::Case => self.case_expr(),
+            Tok::If => self.if_expr(),
+            Tok::LParen => self.paren_expr(),
+            Tok::LParenHash => self.tuple_expr(),
+            _ => self.atom_expr(),
+        }
+    }
+
+    /// A name, constructor or literal.
+    fn atom_expr(&mut self) -> PResult<SExpr> {
         let start = self.span();
-        match self.peek().clone() {
-            Tok::VarId(s) => {
-                self.next();
-                Ok(SExpr::var(s, start))
-            }
-            Tok::ConId(s) => {
-                self.next();
-                Ok(SExpr::new(SExprNode::Con(s), start))
-            }
-            Tok::Int(n) => {
-                self.next();
-                Ok(SExpr::new(SExprNode::Lit(SLit::Int(n)), start))
-            }
-            Tok::IntHash(n) => {
-                self.next();
-                Ok(SExpr::new(SExprNode::Lit(SLit::IntHash(n)), start))
-            }
-            Tok::Double(x) => {
-                self.next();
-                Ok(SExpr::new(SExprNode::Lit(SLit::Double(x)), start))
-            }
-            Tok::DoubleHash(x) => {
-                self.next();
-                Ok(SExpr::new(SExprNode::Lit(SLit::DoubleHash(x)), start))
-            }
+        let node = match self.peek().clone() {
+            Tok::VarId(s) => SExprNode::Var(s),
+            Tok::ConId(s) => SExprNode::Con(s),
+            Tok::Int(n) => SExprNode::Lit(SLit::Int(n)),
+            Tok::IntHash(n) => SExprNode::Lit(SLit::IntHash(n)),
+            Tok::Double(x) => SExprNode::Lit(SLit::Double(x)),
+            Tok::DoubleHash(x) => SExprNode::Lit(SLit::DoubleHash(x)),
             Tok::FloatHash(_x) => {
                 self.next();
-                self.error("float literals are not supported in expressions yet; use doubles")
+                return self
+                    .error("float literals are not supported in expressions yet; use doubles");
             }
-            Tok::Char(c) => {
-                self.next();
-                Ok(SExpr::new(SExprNode::Lit(SLit::Char(c)), start))
-            }
-            Tok::CharHash(c) => {
-                self.next();
-                Ok(SExpr::new(SExprNode::Lit(SLit::CharHash(c)), start))
-            }
-            Tok::Str(s) => {
-                self.next();
-                Ok(SExpr::new(SExprNode::Str(s), start))
-            }
-            Tok::Backslash => {
-                self.next();
-                let mut pats = Vec::new();
-                while *self.peek() != Tok::Arrow {
-                    pats.push(self.simple_pat()?);
-                }
-                self.expect(Tok::Arrow)?;
-                let body = self.expr()?;
-                let span = start.to(body.span);
-                Ok(SExpr::new(SExprNode::Lam(pats, Box::new(body)), span))
-            }
-            Tok::Let => {
-                self.next();
-                let name = self.binder_name()?;
-                let ty = if self.eat(&Tok::DColon) {
-                    Some(self.ty()?)
-                } else {
-                    None
-                };
-                // Sugar: let f x y = e — parameters become a lambda.
-                let mut params = Vec::new();
-                while *self.peek() != Tok::Equals {
-                    params.push(self.simple_pat()?);
-                }
-                self.expect(Tok::Equals)?;
-                let rhs = self.expr()?;
-                let rhs = if params.is_empty() {
-                    rhs
-                } else {
-                    let span = rhs.span;
-                    SExpr::new(SExprNode::Lam(params, Box::new(rhs)), span)
-                };
-                self.expect(Tok::In)?;
-                let body = self.expr()?;
-                let span = start.to(body.span);
-                Ok(SExpr::new(
-                    SExprNode::Let(name, ty, Box::new(rhs), Box::new(body)),
-                    span,
-                ))
-            }
-            Tok::Case => {
-                self.next();
-                let scrut = self.expr()?;
-                self.expect(Tok::Of)?;
-                self.expect(Tok::LBrace)?;
-                let mut alts = Vec::new();
-                while *self.peek() != Tok::RBrace {
-                    let pat = self.case_pat()?;
-                    self.expect(Tok::Arrow)?;
-                    let rhs = self.expr()?;
-                    alts.push((pat, rhs));
-                    if !self.eat(&Tok::Semi) {
-                        break;
-                    }
-                }
-                let end = self.expect(Tok::RBrace)?;
-                Ok(SExpr::new(
-                    SExprNode::Case(Box::new(scrut), alts),
-                    start.to(end),
-                ))
-            }
-            Tok::If => {
-                self.next();
-                let c = self.expr()?;
-                self.expect(Tok::Then)?;
-                let t = self.expr()?;
-                self.expect(Tok::Else)?;
-                let f = self.expr()?;
-                let span = start.to(f.span);
-                Ok(SExpr::new(
-                    SExprNode::If(Box::new(c), Box::new(t), Box::new(f)),
-                    span,
-                ))
-            }
-            Tok::LParen => {
-                self.next();
-                // `(+)` — operator as a function.
-                if let Tok::Op(s) = self.peek().clone() {
-                    if self.peek2() == &Tok::RParen {
-                        self.next();
-                        let end = self.expect(Tok::RParen)?;
-                        return Ok(SExpr::var(s, start.to(end)));
-                    }
-                }
-                let e = self.expr()?;
-                self.expect(Tok::RParen)?;
-                Ok(e)
-            }
-            Tok::LParenHash => {
-                self.next();
-                let mut parts = Vec::new();
-                if *self.peek() != Tok::HashRParen {
-                    loop {
-                        parts.push(self.expr()?);
-                        if !self.eat(&Tok::Comma) {
-                            break;
-                        }
-                    }
-                }
-                let end = self.expect(Tok::HashRParen)?;
-                Ok(SExpr::new(SExprNode::UnboxedTuple(parts), start.to(end)))
-            }
-            other => self.error(format!("expected an expression, found `{other}`")),
+            Tok::Char(c) => SExprNode::Lit(SLit::Char(c)),
+            Tok::CharHash(c) => SExprNode::Lit(SLit::CharHash(c)),
+            Tok::Str(s) => SExprNode::Str(s),
+            other => return self.error(format!("expected an expression, found `{other}`")),
+        };
+        self.next();
+        Ok(SExpr::new(node, start))
+    }
+
+    fn lambda(&mut self) -> PResult<SExpr> {
+        let start = self.expect(Tok::Backslash)?;
+        let mut pats = Vec::new();
+        while *self.peek() != Tok::Arrow {
+            pats.push(self.simple_pat()?);
         }
+        self.expect(Tok::Arrow)?;
+        let body = self.expr()?;
+        let span = start.to(body.span);
+        Ok(SExpr::new(SExprNode::Lam(pats, Box::new(body)), span))
+    }
+
+    fn let_expr(&mut self) -> PResult<SExpr> {
+        let start = self.expect(Tok::Let)?;
+        let name = self.binder_name()?;
+        let ty = if self.eat(&Tok::DColon) {
+            Some(self.ty()?)
+        } else {
+            None
+        };
+        // Sugar: let f x y = e — parameters become a lambda.
+        let mut params = Vec::new();
+        while *self.peek() != Tok::Equals {
+            params.push(self.simple_pat()?);
+        }
+        self.expect(Tok::Equals)?;
+        let rhs = self.expr()?;
+        let rhs = if params.is_empty() {
+            rhs
+        } else {
+            let span = rhs.span;
+            SExpr::new(SExprNode::Lam(params, Box::new(rhs)), span)
+        };
+        self.expect(Tok::In)?;
+        let body = self.expr()?;
+        let span = start.to(body.span);
+        Ok(SExpr::new(
+            SExprNode::Let(name, ty, Box::new(rhs), Box::new(body)),
+            span,
+        ))
+    }
+
+    fn case_expr(&mut self) -> PResult<SExpr> {
+        let start = self.expect(Tok::Case)?;
+        let scrut = self.expr()?;
+        self.expect(Tok::Of)?;
+        self.expect(Tok::LBrace)?;
+        let mut alts = Vec::new();
+        while *self.peek() != Tok::RBrace {
+            let pat = self.case_pat()?;
+            self.expect(Tok::Arrow)?;
+            let rhs = self.expr()?;
+            alts.push((pat, rhs));
+            if !self.eat(&Tok::Semi) {
+                break;
+            }
+        }
+        let end = self.expect(Tok::RBrace)?;
+        Ok(SExpr::new(
+            SExprNode::Case(Box::new(scrut), alts),
+            start.to(end),
+        ))
+    }
+
+    fn if_expr(&mut self) -> PResult<SExpr> {
+        let start = self.expect(Tok::If)?;
+        let c = self.expr()?;
+        self.expect(Tok::Then)?;
+        let t = self.expr()?;
+        self.expect(Tok::Else)?;
+        let f = self.expr()?;
+        let span = start.to(f.span);
+        Ok(SExpr::new(
+            SExprNode::If(Box::new(c), Box::new(t), Box::new(f)),
+            span,
+        ))
+    }
+
+    /// A parenthesised expression, or an operator as a function: `(+)`.
+    fn paren_expr(&mut self) -> PResult<SExpr> {
+        let start = self.expect(Tok::LParen)?;
+        if let Tok::Op(s) = *self.peek() {
+            if self.peek2() == &Tok::RParen {
+                self.next();
+                let end = self.expect(Tok::RParen)?;
+                return Ok(SExpr::var(s, start.to(end)));
+            }
+        }
+        let e = self.expr()?;
+        self.expect(Tok::RParen)?;
+        Ok(e)
+    }
+
+    fn tuple_expr(&mut self) -> PResult<SExpr> {
+        let start = self.expect(Tok::LParenHash)?;
+        let mut parts = Vec::new();
+        if *self.peek() != Tok::HashRParen {
+            loop {
+                parts.push(self.expr()?);
+                if !self.eat(&Tok::Comma) {
+                    break;
+                }
+            }
+        }
+        let end = self.expect(Tok::HashRParen)?;
+        Ok(SExpr::new(SExprNode::UnboxedTuple(parts), start.to(end)))
     }
 }
 
@@ -902,7 +966,26 @@ impl Parser {
 /// # Ok::<(), levity_core::diag::Diagnostic>(())
 /// ```
 pub fn parse_module(source: &str) -> Result<Module, Diagnostic> {
-    let toks = lex(source)?;
+    parse_module_at(source, 0)
+}
+
+/// Parses a module whose text begins at offset `base` of a larger
+/// source (offsets count characters, as the lexer's do): every span in the result, and in a lexing or parsing error,
+/// is offset by `base`, exactly as if the whole larger source had been
+/// parsed. Layout is local to `source`: its first token starts a
+/// declaration even when it is indented.
+///
+/// # Errors
+///
+/// Returns the first lexing or parsing [`Diagnostic`].
+pub fn parse_module_at(source: &str, base: usize) -> Result<Module, Diagnostic> {
+    let mut toks = lex(source).map_err(|mut d| {
+        d.span = d.span.shifted(base);
+        d
+    })?;
+    for t in &mut toks {
+        t.span = t.span.shifted(base);
+    }
     let mut parser = Parser::new(toks);
     parser.module()
 }
@@ -1143,6 +1226,36 @@ mod tests {
     fn parse_errors_carry_spans() {
         let err = parse_expr("case x of").unwrap_err();
         assert_eq!(err.code, levity_core::diag::ErrorCode::Parse);
+    }
+
+    #[test]
+    fn the_nesting_budget_bounds_depth_not_size() {
+        let nested = |depth: usize| format!("{}1#{}", "(".repeat(depth), ")".repeat(depth));
+        // `parse_expr`'s own expression is the first level.
+        assert!(parse_expr(&nested(MAX_NESTING - 1)).is_ok());
+        let err = parse_expr(&nested(MAX_NESTING)).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Parse);
+        assert!(err.message.contains("nests deeper"), "{err}");
+        // Many sibling spines and chains, each shallow: the depth goes
+        // back down after each one.
+        let wide: String = (0..2 * MAX_NESTING)
+            .map(|i| format!("f{i} :: T a b -> T a b\nf{i} x = g x 1# 2# +# h 3# 4# +# 5#\n"))
+            .collect();
+        assert_eq!(parse_module(&wide).unwrap().decls.len(), 4 * MAX_NESTING);
+    }
+
+    #[test]
+    fn a_module_parsed_at_an_offset_has_offset_spans() {
+        let src = "f = x\n";
+        let at0 = parse_module(src).unwrap();
+        let at100 = parse_module_at(src, 100).unwrap();
+        let span = |m: &Module| match &m.decls[0] {
+            SDecl::Bind { span, .. } => *span,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(span(&at100), span(&at0).shifted(100));
+        let lex_err = parse_module_at("f = \"open\n", 100).unwrap_err();
+        assert_eq!(lex_err.span.start, 104);
     }
 
     #[test]

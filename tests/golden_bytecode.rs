@@ -16,7 +16,10 @@
 //! resolved pcs, and binder names in `binds [...]` come from the
 //! machine lowering's per-function numbering, not the optimizer's
 //! process-global fresh counter (pinned by
-//! `disassembly_is_stable_across_recompilations` below).
+//! `disassembly_is_stable_across_recompilations` below). Globals are
+//! numbered by name — source-level names first, then the compiler's
+//! `$`-prefixed ones — never by intern order, which other threads
+//! change (pinned by `artifacts_do_not_depend_on_intern_order`).
 //!
 //! To regenerate after an intentional bytecode-compiler change:
 //!
@@ -26,6 +29,7 @@
 
 use std::path::PathBuf;
 
+use levity::core::symbol::Symbol;
 use levity::driver::compile_with_prelude;
 
 /// The snapshot corpus — kept in lockstep with `golden_core.rs`, so
@@ -213,6 +217,75 @@ fn disassembly_is_stable_across_recompilations() {
     let _ = compile_with_prelude("f :: Int -> Int\nf x = x + x\nmain :: Int\nmain = f 1\n");
     let b = disasm(src, name);
     assert_eq!(a, b, "disassembly must not depend on compilation order");
+}
+
+/// The globals the committed snapshots name (workers and
+/// specialisations included): every chunk label without a `!fast`,
+/// `.lamN` or `.thunkN` suffix.
+fn snapshot_globals() -> Vec<String> {
+    let mut names: Vec<String> = GOLDEN
+        .iter()
+        .flat_map(|(name, _)| {
+            let text = std::fs::read_to_string(golden_path(name)).unwrap();
+            text.lines()
+                .filter_map(|l| l.strip_prefix("chunk "))
+                .filter_map(|l| l.split(' ').next())
+                .filter(|label| !label.contains(['!', '.']))
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    names.sort();
+    names.dedup();
+    names
+}
+
+/// Compiled artifacts must not depend on the process's intern history.
+/// Several threads each first intern the snapshots' own global names in
+/// a scrambled order, mixed with fresh names, so those names get symbol
+/// ids in an order no sequential run produces (and named so that it
+/// runs first under `--test-threads=1`, before any other test has
+/// interned them). Then every thread compiles the whole corpus at once,
+/// and every disassembly must still match its committed snapshot.
+#[test]
+fn artifacts_do_not_depend_on_intern_order() {
+    const THREADS: u64 = 4;
+    let names = snapshot_globals();
+    let threads: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let mut names = names.clone();
+            std::thread::spawn(move || {
+                // Fisher-Yates with a per-thread xorshift64.
+                let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(2 * t + 1);
+                let mut next = move || {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                };
+                for i in (1..names.len()).rev() {
+                    names.swap(i, (next() % (i as u64 + 1)) as usize);
+                }
+                for (i, name) in names.iter().enumerate() {
+                    let _ = Symbol::intern(&format!("intern-order-{t}-{i}-{:x}", next()));
+                    let _ = Symbol::intern(name);
+                }
+                GOLDEN
+                    .iter()
+                    .map(|(name, src)| (*name, disasm(src, name)))
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for thread in threads {
+        for (name, rendered) in thread.join().unwrap() {
+            let expected = std::fs::read_to_string(golden_path(name)).unwrap();
+            assert!(
+                expected == rendered,
+                "{name}: bytecode depends on intern order:\n{rendered}"
+            );
+        }
+    }
 }
 
 /// The snapshots must actually contain the shapes they pin: the CPR

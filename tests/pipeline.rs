@@ -995,3 +995,181 @@ mod bytecode_negative_space {
         );
     }
 }
+
+// ---------------------------------------------------------------------
+// The prelude boundary: the prelude is parsed once per process and user
+// source is parsed on its own, with spans offset as if the two had been
+// parsed as one text. Diagnostics must read exactly as they did then.
+// ---------------------------------------------------------------------
+
+mod prelude_boundary {
+    use levity::driver::{compile_source, compile_with_prelude, PipelineError, PRELUDE};
+
+    /// Where user source starts in `PRELUDE + "\n" + source`.
+    fn user_base() -> usize {
+        PRELUDE.chars().count() + 1
+    }
+
+    /// The error the pipeline reported, with every span, as a string.
+    fn diagnostics(err: &PipelineError) -> String {
+        match err {
+            PipelineError::Parse(d) => format!("parse {d:?}"),
+            PipelineError::Elaborate(ds) => format!("elaborate {ds:?}"),
+            PipelineError::Levity(ds) => format!("levity {ds:?}"),
+            other => panic!("unexpected stage: {other}"),
+        }
+    }
+
+    /// The serving benchmark's three ill-typed tenant sources, one per
+    /// stage a tenant can fail in: the same diagnostics, spans included,
+    /// as parsing the prelude and the source as one text.
+    #[test]
+    fn diagnostics_match_the_concatenated_parse() {
+        for src in [
+            "main :: Int#\nmain = (1# +#\n",
+            "main :: Int#\nmain = notInScope 1#\n",
+            "ident :: forall (r :: Rep) (a :: TYPE r). a -> a\n\
+             ident x = x\n\
+             main :: Int#\n\
+             main = 1#\n",
+        ] {
+            let split = compile_with_prelude(src).expect_err(src);
+            let whole = compile_source(&format!("{PRELUDE}\n{src}")).expect_err(src);
+            assert_eq!(diagnostics(&split), diagnostics(&whole), "{src}");
+        }
+    }
+
+    /// A lexing error's span is offset like a parsing error's.
+    #[test]
+    fn lex_errors_point_past_the_prelude() {
+        let src = "main :: Int#\nmain = \"unterminated\n";
+        let split = compile_with_prelude(src).unwrap_err();
+        let whole = compile_source(&format!("{PRELUDE}\n{src}")).unwrap_err();
+        assert_eq!(diagnostics(&split), diagnostics(&whole));
+        let PipelineError::Parse(d) = split else {
+            panic!("{split}")
+        };
+        assert!(d.span.start >= user_base(), "{d:?}");
+    }
+
+    /// An indented first line used to continue the prelude's last
+    /// declaration (`fromMaybe`), and failed as a type error there. Now
+    /// the user's source starts its own declaration, and the error is
+    /// the user's, pointing into the user's text.
+    #[test]
+    fn an_indented_first_line_is_the_tenants_own_error() {
+        let src = "  x\nmain :: Int#\nmain = 1#\n";
+        let whole = compile_source(&format!("{PRELUDE}\n{src}")).unwrap_err();
+        assert!(matches!(whole, PipelineError::Elaborate(_)), "{whole}");
+        let err = compile_with_prelude(src).unwrap_err();
+        let PipelineError::Parse(d) = &err else {
+            panic!("expected the tenant's own parse error, got: {err}")
+        };
+        assert!(
+            d.span.start >= user_base(),
+            "the span {:?} points into the prelude",
+            d.span
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// No wasted work: the optimizer only processes what `main` reaches.
+// ---------------------------------------------------------------------
+
+mod reachable_work_only {
+    use levity::driver::{compile_prelude, compile_with_prelude};
+
+    /// A trivial `main` gives the optimizer nothing to do: the prelude's
+    /// bindings are pruned before any pass sees them.
+    #[test]
+    fn a_trivial_main_runs_no_optimizer_work() {
+        let compiled = compile_with_prelude("main :: Int#\nmain = 1#\n").unwrap();
+        let r = compiled.opt_report;
+        assert_eq!((r.inlined, r.workers, r.fn_specialised), (0, 0, 0), "{r:?}");
+        assert_eq!(compiled.program.bindings.len(), 1, "{r:?}");
+        assert_eq!(
+            r.dead_globals,
+            compiled.elaborated.program.bindings.len() - 1,
+            "{r:?}"
+        );
+    }
+
+    /// The bare prelude has no `main`, so every binding is an entry and
+    /// every binding survives (only code the optimizer itself minted and
+    /// then orphaned can be eliminated).
+    #[test]
+    fn the_prelude_keeps_every_binding() {
+        let compiled = compile_prelude().unwrap();
+        for b in &compiled.elaborated.program.bindings {
+            assert!(
+                compiled.program.binding(b.name).is_some(),
+                "`{}` was dropped",
+                b.name
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile nesting: the parser's depth budget turns what used to be a
+// stack overflow (a process abort) into a structured parse error.
+// ---------------------------------------------------------------------
+
+mod nesting_budget {
+    use levity::driver::{compile_with_prelude, PipelineError};
+
+    /// The std default thread stack, which every serving worker gets.
+    const WORKER_STACK: usize = 2 << 20;
+
+    fn nested_parens(depth: usize) -> String {
+        format!(
+            "main :: Int#\nmain = {}1#{}\n",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        )
+    }
+
+    /// Compiles `src` on a thread with a serving worker's stack and
+    /// reports whether it compiled, or the parse error's message.
+    fn compile_on_worker_stack(src: String) -> Result<(), String> {
+        std::thread::Builder::new()
+            .stack_size(WORKER_STACK)
+            .spawn(move || match compile_with_prelude(&src) {
+                Ok(_) => Ok(()),
+                Err(PipelineError::Parse(d)) => Err(d.message),
+                Err(other) => panic!("expected a parse error, got: {other}"),
+            })
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn modest_nesting_compiles() {
+        assert_eq!(compile_on_worker_stack(nested_parens(200)), Ok(()));
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_an_abort() {
+        for depth in [1_000, 100_000] {
+            let err = compile_on_worker_stack(nested_parens(depth)).unwrap_err();
+            assert!(err.contains("nests deeper"), "depth {depth}: {err}");
+        }
+    }
+
+    /// Types, operator chains of either associativity and long
+    /// application spines nest too: each builds a syntax tree as deep
+    /// as the chain is long.
+    #[test]
+    fn deep_types_chains_and_spines_are_parse_errors() {
+        let arrows = format!("f :: {}Int#\nf = f\n", "Int# -> ".repeat(10_000));
+        let dollars = format!("main :: Int#\nmain = {}1#\n", "id $ ".repeat(10_000));
+        let sums = format!("main :: Int#\nmain = 1#{}\n", " +# 1#".repeat(10_000));
+        let spine = format!("main :: Int#\nmain = f{}\n", " 1#".repeat(10_000));
+        for src in [arrows, dollars, sums, spine] {
+            let err = compile_on_worker_stack(src).unwrap_err();
+            assert!(err.contains("nests deeper"), "{err}");
+        }
+    }
+}
