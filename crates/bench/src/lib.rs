@@ -331,6 +331,7 @@ mod tests {
             "BENCH_pr8.json",
             "BENCH_pr9.json",
             "BENCH_pr10.json",
+            "BENCH_pr12.json",
         ] {
             let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../..").to_owned() + "/" + file;
             let text = std::fs::read_to_string(&path)
@@ -355,6 +356,18 @@ mod tests {
                     set.keys().any(|k| k.starts_with("gc/")),
                     "BENCH_pr10.json is missing the gc/ group: {:?}",
                     set.keys().collect::<Vec<_>>()
+                );
+            }
+            if file == "BENCH_pr12.json" {
+                // PR 12 made cold compile do only the tenant's work; the
+                // recorded cold-compile mean must show it against the
+                // PR-10 recording it was gated on.
+                let pr10 = std::fs::read_to_string(path.replace(file, "BENCH_pr10.json")).unwrap();
+                let before = parse_bench_json(&pr10).unwrap()["serve/cold_compile"].mean_ns;
+                let after = set["serve/cold_compile"].mean_ns;
+                assert!(
+                    after < before,
+                    "serve/cold_compile {before} ns -> {after} ns"
                 );
             }
             if file == "BENCH_pr9.json" {

@@ -970,10 +970,11 @@ pub fn parse_module(source: &str) -> Result<Module, Diagnostic> {
 }
 
 /// Parses a module whose text begins at offset `base` of a larger
-/// source (offsets count characters, as the lexer's do): every span in the result, and in a lexing or parsing error,
-/// is offset by `base`, exactly as if the whole larger source had been
-/// parsed. Layout is local to `source`: its first token starts a
-/// declaration even when it is indented.
+/// source (offsets count characters, as the lexer's do): every span in
+/// the result, and in a lexing or parsing error, is offset by `base`,
+/// exactly as if the whole larger source had been parsed. Layout is
+/// local to `source`: its first token starts a declaration even when it
+/// is indented.
 ///
 /// # Errors
 ///
