@@ -246,4 +246,20 @@ mod tests {
         let b: Symbol = String::from("abc").into();
         assert_eq!(a, b);
     }
+
+    #[test]
+    fn ordering_is_stable_per_symbol() {
+        // Symbols are ordered through their text, so interning the later
+        // name first must not change where either one sorts.
+        let b = Symbol::intern("stable-b");
+        let a = Symbol::intern("stable-a");
+        let c = Symbol::intern("stable-c");
+        let mut names = vec![c, b, a];
+        names.sort_by_key(|s| s.as_str());
+        assert_eq!(names, vec![a, b, c]);
+        assert_eq!(
+            Symbol::intern("stable-a").as_str().cmp(b.as_str()),
+            std::cmp::Ordering::Less
+        );
+    }
 }
