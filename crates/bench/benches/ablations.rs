@@ -240,15 +240,21 @@ fn bench_ablations(c: &mut Criterion) {
 
     // Opt vs no-opt: the boxed §7.3 loop, the optimizer's headline
     // target. Same source, same engine, same outcome — the wall-clock
-    // gap is exactly what specialisation + worker/wrapper buy.
+    // gap is exactly what specialisation + worker/wrapper buy. The
+    // printed steps are the Figure 6 model, counted on the reference
+    // engine; the timed rows run on the environment engine.
     const CLASSY_BOXED: &str = "loop :: Int -> Int -> Int\n\
          loop acc n = case n of { I# k -> case k of { 0# -> acc; _ -> loop (acc + n) (n - 1) } }\n\
          main :: Int\n\
          main = loop 0 2000\n";
     let noopt = compile_with_prelude_opt(CLASSY_BOXED, OptLevel::O0).expect("compiles at O0");
     let opt = compile_with_prelude_opt(CLASSY_BOXED, OptLevel::O2).expect("compiles at O2");
-    let (v0, s0) = noopt.run("main", u64::MAX / 2).unwrap();
-    let (v2, s2) = opt.run("main", u64::MAX / 2).unwrap();
+    let (v0, s0) = noopt
+        .run_with_engine("main", u64::MAX / 2, Engine::Subst)
+        .unwrap();
+    let (v2, s2) = opt
+        .run_with_engine("main", u64::MAX / 2, Engine::Subst)
+        .unwrap();
     assert_eq!(
         v0.value().and_then(|v| v.as_boxed_int()),
         v2.value().and_then(|v| v.as_boxed_int()),
@@ -263,9 +269,18 @@ fn bench_ablations(c: &mut Criterion) {
     let mut group = c.benchmark_group("opt");
     group.sample_size(20);
     group.bench_function("noopt", |b| {
-        b.iter(|| noopt.run("main", u64::MAX / 2).unwrap())
+        b.iter(|| {
+            noopt
+                .run_with_engine("main", u64::MAX / 2, Engine::Env)
+                .unwrap()
+        })
     });
-    group.bench_function("opt", |b| b.iter(|| opt.run("main", u64::MAX / 2).unwrap()));
+    group.bench_function("opt", |b| {
+        b.iter(|| {
+            opt.run_with_engine("main", u64::MAX / 2, Engine::Env)
+                .unwrap()
+        })
+    });
     group.finish();
 }
 

@@ -64,9 +64,14 @@ fn print_report(n: u64) {
     // The dispatch-cost narrative is a claim about the unoptimized
     // translation, so those columns compile at O0; the timed benchmarks
     // below run at the default level, where specialisation +
-    // worker/wrapper close the gap to the direct primop.
+    // worker/wrapper close the gap to the direct primop. Steps are the
+    // Figure 6 model, counted on the reference engine.
     let at = |src: &str, lvl| {
         compile_with_prelude_opt(&src.replace("LIMIT", &n.to_string()), lvl).expect("compiles")
+    };
+    let fig6 = |c: &levity_driver::Compiled| {
+        c.run_with_engine("main", u64::MAX / 2, Engine::Subst)
+            .unwrap()
     };
     let d = compiled(DIRECT, n);
     let d0 = at(DIRECT, OptLevel::O0);
@@ -74,12 +79,12 @@ fn print_report(n: u64) {
     let b0 = at(CLASSY_BOXED, OptLevel::O0);
     let c = compiled(CLASSY, n);
     let b = compiled(CLASSY_BOXED, n);
-    let (dv, ds) = d.run("main", u64::MAX / 2).unwrap();
-    let (_, d0s) = d0.run("main", u64::MAX / 2).unwrap();
-    let (_, c0s) = c0.run("main", u64::MAX / 2).unwrap();
-    let (_, b0s) = b0.run("main", u64::MAX / 2).unwrap();
-    let (cv, cs) = c.run("main", u64::MAX / 2).unwrap();
-    let (bv, bs) = b.run("main", u64::MAX / 2).unwrap();
+    let (dv, ds) = fig6(&d);
+    let (_, d0s) = fig6(&d0);
+    let (_, c0s) = fig6(&c0);
+    let (_, b0s) = fig6(&b0);
+    let (cv, cs) = fig6(&c);
+    let (bv, bs) = fig6(&b);
     assert_eq!(
         dv.value().and_then(|v| v.as_int()),
         cv.value().and_then(|v| v.as_int())
@@ -122,11 +127,11 @@ fn print_report(n: u64) {
     let pu = at(POLY_FN_UNBOXED, OptLevel::O2);
     let pb0 = at(POLY_FN_BOXED, OptLevel::O0);
     let pb = at(POLY_FN_BOXED, OptLevel::O2);
-    let (pdv, pds) = pd.run("main", u64::MAX / 2).unwrap();
-    let (_, pu0s) = pu0.run("main", u64::MAX / 2).unwrap();
-    let (puv, pus) = pu.run("main", u64::MAX / 2).unwrap();
-    let (_, pb0s) = pb0.run("main", u64::MAX / 2).unwrap();
-    let (pbv, pbs) = pb.run("main", u64::MAX / 2).unwrap();
+    let (pdv, pds) = fig6(&pd);
+    let (_, pu0s) = fig6(&pu0);
+    let (puv, pus) = fig6(&pu);
+    let (_, pb0s) = fig6(&pb0);
+    let (pbv, pbs) = fig6(&pb);
     assert_eq!(
         pdv.value().and_then(|v| v.as_int()),
         puv.value().and_then(|v| v.as_int())
@@ -188,19 +193,38 @@ fn bench_dictionaries(c: &mut Criterion) {
         let poly = compiled(POLY_FN_UNBOXED, n);
         let poly_boxed = compiled(POLY_FN_BOXED, n);
         group.bench_with_input(BenchmarkId::new("direct_primop", n), &n, |bch, _| {
-            bch.iter(|| direct.run("main", u64::MAX / 2).unwrap())
+            bch.iter(|| {
+                direct
+                    .run_with_engine("main", u64::MAX / 2, Engine::Env)
+                    .unwrap()
+            })
         });
         group.bench_with_input(BenchmarkId::new("dict_unboxed", n), &n, |bch, _| {
-            bch.iter(|| classy.run("main", u64::MAX / 2).unwrap())
+            bch.iter(|| {
+                classy
+                    .run_with_engine("main", u64::MAX / 2, Engine::Env)
+                    .unwrap()
+            })
         });
         group.bench_with_input(BenchmarkId::new("dict_boxed", n), &n, |bch, _| {
-            bch.iter(|| boxed.run("main", u64::MAX / 2).unwrap())
+            bch.iter(|| {
+                boxed
+                    .run_with_engine("main", u64::MAX / 2, Engine::Env)
+                    .unwrap()
+            })
         });
         group.bench_with_input(BenchmarkId::new("dict_poly_fn", n), &n, |bch, _| {
-            bch.iter(|| poly.run("main", u64::MAX / 2).unwrap())
+            bch.iter(|| {
+                poly.run_with_engine("main", u64::MAX / 2, Engine::Env)
+                    .unwrap()
+            })
         });
         group.bench_with_input(BenchmarkId::new("dict_poly_fn_boxed", n), &n, |bch, _| {
-            bch.iter(|| poly_boxed.run("main", u64::MAX / 2).unwrap())
+            bch.iter(|| {
+                poly_boxed
+                    .run_with_engine("main", u64::MAX / 2, Engine::Env)
+                    .unwrap()
+            })
         });
         // The dispatch ladder's endpoints on the Engine-3 flat register
         // machine: the direct loop and the specialised dictionary loop

@@ -29,14 +29,21 @@ fn compiled(src: &str, n: u64) -> levity_driver::Compiled {
 fn print_report(n: u64) {
     // The §2.1 claim is about the *compilation scheme* for boxed code,
     // so the narrative column compiles at O0; the optimized column shows
-    // what the levity-directed optimizer makes of the same source.
+    // what the levity-directed optimizer makes of the same source. Steps
+    // are the Figure 6 model, counted on the reference engine.
     let b0 = compile_with_prelude_opt(&BOXED.replace("LIMIT", &n.to_string()), OptLevel::O0)
         .expect("compiles");
     let b = compiled(BOXED, n);
     let u = compiled(UNBOXED, n);
-    let (b0o, b0s) = b0.run("main", u64::MAX / 2).unwrap();
-    let (bo, bs) = b.run("main", u64::MAX / 2).unwrap();
-    let (uo, us) = u.run("main", u64::MAX / 2).unwrap();
+    let (b0o, b0s) = b0
+        .run_with_engine("main", u64::MAX / 2, Engine::Subst)
+        .unwrap();
+    let (bo, bs) = b
+        .run_with_engine("main", u64::MAX / 2, Engine::Subst)
+        .unwrap();
+    let (uo, us) = u
+        .run_with_engine("main", u64::MAX / 2, Engine::Subst)
+        .unwrap();
     assert_eq!(
         bo.value().and_then(|v| v.as_boxed_int()),
         uo.value().and_then(|v| v.as_int())
@@ -105,15 +112,22 @@ const CPR_TUPLE: &str = "divModU :: Int# -> Int# -> (# Int#, Int# #)\n\
      main :: Int#\n\
      main = loop 0# LIMIT#\n";
 
+/// Steps are the Figure 6 model, counted on the reference engine.
 fn print_cpr_report(n: u64) {
     let b0 = compile_with_prelude_opt(&CPR_BOXED.replace("LIMIT", &n.to_string()), OptLevel::O0)
         .expect("compiles");
     let b = compiled(CPR_BOXED, n);
     let u = compiled(CPR_TUPLE, n);
     assert!(b.opt_report.cpr_workers >= 1, "{:?}", b.opt_report);
-    let (b0o, b0s) = b0.run("main", u64::MAX / 2).unwrap();
-    let (bo, bs) = b.run("main", u64::MAX / 2).unwrap();
-    let (uo, us) = u.run("main", u64::MAX / 2).unwrap();
+    let (b0o, b0s) = b0
+        .run_with_engine("main", u64::MAX / 2, Engine::Subst)
+        .unwrap();
+    let (bo, bs) = b
+        .run_with_engine("main", u64::MAX / 2, Engine::Subst)
+        .unwrap();
+    let (uo, us) = u
+        .run_with_engine("main", u64::MAX / 2, Engine::Subst)
+        .unwrap();
     assert_eq!(
         bo.value().and_then(|v| v.as_int()),
         uo.value().and_then(|v| v.as_int())
@@ -164,10 +178,16 @@ fn bench_cpr(c: &mut Criterion) {
         let b = compiled(CPR_BOXED, n);
         let u = compiled(CPR_TUPLE, n);
         group.bench_with_input(BenchmarkId::new("boxed_product", n), &n, |bch, _| {
-            bch.iter(|| b.run("main", u64::MAX / 2).unwrap())
+            bch.iter(|| {
+                b.run_with_engine("main", u64::MAX / 2, Engine::Env)
+                    .unwrap()
+            })
         });
         group.bench_with_input(BenchmarkId::new("tuple_direct", n), &n, |bch, _| {
-            bch.iter(|| u.run("main", u64::MAX / 2).unwrap())
+            bch.iter(|| {
+                u.run_with_engine("main", u64::MAX / 2, Engine::Env)
+                    .unwrap()
+            })
         });
         // The same programs on the Engine-3 flat register machine.
         group.bench_with_input(BenchmarkId::new("boxed_product_bc", n), &n, |bch, _| {
@@ -199,10 +219,16 @@ fn bench_sum_to(c: &mut Criterion) {
         let b = compiled(BOXED, n);
         let u = compiled(UNBOXED, n);
         group.bench_with_input(BenchmarkId::new("boxed", n), &n, |bch, _| {
-            bch.iter(|| b.run("main", u64::MAX / 2).unwrap())
+            bch.iter(|| {
+                b.run_with_engine("main", u64::MAX / 2, Engine::Env)
+                    .unwrap()
+            })
         });
         group.bench_with_input(BenchmarkId::new("unboxed", n), &n, |bch, _| {
-            bch.iter(|| u.run("main", u64::MAX / 2).unwrap())
+            bch.iter(|| {
+                u.run_with_engine("main", u64::MAX / 2, Engine::Env)
+                    .unwrap()
+            })
         });
         // The same programs on the Engine-3 flat register machine.
         group.bench_with_input(BenchmarkId::new("boxed_bc", n), &n, |bch, _| {

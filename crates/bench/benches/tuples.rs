@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use levity_driver::compile_with_prelude;
+use levity_m::Engine;
 
 const UNBOXED: &str = "divMod# :: Int# -> Int# -> (# Int#, Int# #)\n\
      divMod# n k = (# quotInt# n k, remInt# n k #)\n\
@@ -43,11 +44,16 @@ fn compiled(src: &str, n: u64) -> levity_driver::Compiled {
     compile_with_prelude(&src.replace("LIMIT", &n.to_string())).expect("compiles")
 }
 
+/// Steps are the Figure 6 model, counted on the reference engine.
 fn print_report(n: u64) {
     let b = compiled(BOXED, n);
     let u = compiled(UNBOXED, n);
-    let (_, bs) = b.run("main", u64::MAX / 2).unwrap();
-    let (_, us) = u.run("main", u64::MAX / 2).unwrap();
+    let (_, bs) = b
+        .run_with_engine("main", u64::MAX / 2, Engine::Subst)
+        .unwrap();
+    let (_, us) = u
+        .run_with_engine("main", u64::MAX / 2, Engine::Subst)
+        .unwrap();
     eprintln!("\n== E3 (section 2.3): divMod loop, {n} iterations ==");
     eprintln!("{:<22} {:>12} {:>12}", "", "boxed pair", "(# , #)");
     eprintln!(
@@ -62,8 +68,12 @@ fn print_report(n: u64) {
 
     let nested = compiled(NESTED, n);
     let flat = compiled(FLAT, n);
-    let (no, ns) = nested.run("main", u64::MAX / 2).unwrap();
-    let (fo, fs) = flat.run("main", u64::MAX / 2).unwrap();
+    let (no, ns) = nested
+        .run_with_engine("main", u64::MAX / 2, Engine::Subst)
+        .unwrap();
+    let (fo, fs) = flat
+        .run_with_engine("main", u64::MAX / 2, Engine::Subst)
+        .unwrap();
     assert_eq!(
         no.value().and_then(|v| v.as_int()),
         fo.value().and_then(|v| v.as_int())
@@ -86,10 +96,16 @@ fn bench_tuples(c: &mut Criterion) {
         let b = compiled(BOXED, n);
         let u = compiled(UNBOXED, n);
         group.bench_with_input(BenchmarkId::new("boxed_pair", n), &n, |bch, _| {
-            bch.iter(|| b.run("main", u64::MAX / 2).unwrap())
+            bch.iter(|| {
+                b.run_with_engine("main", u64::MAX / 2, Engine::Env)
+                    .unwrap()
+            })
         });
         group.bench_with_input(BenchmarkId::new("unboxed_tuple", n), &n, |bch, _| {
-            bch.iter(|| u.run("main", u64::MAX / 2).unwrap())
+            bch.iter(|| {
+                u.run_with_engine("main", u64::MAX / 2, Engine::Env)
+                    .unwrap()
+            })
         });
     }
     group.finish();
@@ -99,10 +115,17 @@ fn bench_tuples(c: &mut Criterion) {
     let nested = compiled(NESTED, 1_000);
     let flat = compiled(FLAT, 1_000);
     group.bench_function("nested", |bch| {
-        bch.iter(|| nested.run("main", u64::MAX / 2).unwrap())
+        bch.iter(|| {
+            nested
+                .run_with_engine("main", u64::MAX / 2, Engine::Env)
+                .unwrap()
+        })
     });
     group.bench_function("flat", |bch| {
-        bch.iter(|| flat.run("main", u64::MAX / 2).unwrap())
+        bch.iter(|| {
+            flat.run_with_engine("main", u64::MAX / 2, Engine::Env)
+                .unwrap()
+        })
     });
     group.finish();
 }

@@ -332,6 +332,7 @@ mod tests {
             "BENCH_pr9.json",
             "BENCH_pr10.json",
             "BENCH_pr12.json",
+            "BENCH_pr13.json",
         ] {
             let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../..").to_owned() + "/" + file;
             let text = std::fs::read_to_string(&path)
@@ -369,6 +370,17 @@ mod tests {
                     after < before,
                     "serve/cold_compile {before} ns -> {after} ns"
                 );
+            }
+            if file == "BENCH_pr13.json" {
+                // PR 13 made bytecode the default engine; the serving
+                // rows run on it and must show it against the PR-12
+                // recording, which ran them on the environment engine.
+                let pr12 = std::fs::read_to_string(path.replace(file, "BENCH_pr12.json")).unwrap();
+                let pr12 = parse_bench_json(&pr12).unwrap();
+                for row in ["serve/requests_w1", "serve/latency_p50"] {
+                    let (before, after) = (pr12[row].mean_ns, set[row].mean_ns);
+                    assert!(after < before, "{row} {before} ns -> {after} ns");
+                }
             }
             if file == "BENCH_pr9.json" {
                 // PR 9 introduced the verifier and the unchecked fast

@@ -223,7 +223,9 @@ const _: () = {
 
 impl Compiled {
     /// Runs a zero-argument top-level binding on the default engine
-    /// ([`Engine::Env`]).
+    /// ([`Engine::Bytecode`]), whose `steps` counter counts bytecode
+    /// instructions. Use [`Self::run_with_engine`] with
+    /// [`Engine::Subst`] for the Figure 6 step model.
     ///
     /// # Errors
     ///
@@ -263,7 +265,8 @@ impl Compiled {
     }
 
     /// Runs an arbitrary `M` term against this program's globals on the
-    /// default engine ([`Engine::Env`]).
+    /// default engine ([`Engine::Bytecode`]), whose `steps` counter
+    /// counts bytecode instructions.
     ///
     /// # Errors
     ///

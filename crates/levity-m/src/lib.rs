@@ -38,8 +38,8 @@
 //! The three execution engines implement the same semantics. The
 //! substitution machine stays as the executable reference — it *is*
 //! Figure 6 — the environment engine agrees with it on every counter,
-//! and the register machine is how the benchmarks run (select with
-//! [`Engine`]).
+//! and the register machine is the default engine, the one serving and
+//! the benchmarks run on (select with [`Engine`]).
 //!
 //! The machine is instrumented ([`machine::MachineStats`]): steps, thunk
 //! allocations, forces, updates and constructor allocations — the
@@ -91,20 +91,28 @@ pub use verify::{verify, VerifiedEntry, VerifiedProgram, VerifyError, VerifyErro
 /// outcomes, errors, and allocation counters; the subst/env pair agree
 /// on *every* [`MachineStats`] counter. The differential suite in
 /// `tests/differential.rs` enforces this.
+///
+/// [`MachineStats::steps`] counts Figure 6 transitions on
+/// [`Engine::Subst`] and [`Engine::Env`], but bytecode instructions
+/// (fused ones included) on the default, [`Engine::Bytecode`]. Code
+/// that checks the paper's step model names [`Engine::Subst`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
     /// The reference substitution machine ([`machine::Machine`]):
     /// Figure 6 transcribed literally, β-reduction by `subst_atom`.
+    /// Its `steps` counter is the Figure 6 step model.
     Subst,
     /// The environment (closure) engine ([`env::EnvMachine`]) over
     /// pre-compiled [`compile::Code`]: β-reduction by O(1) environment
-    /// extension. The default: counter-exact against the reference.
-    #[default]
+    /// extension. Counter-exact against the reference. It never
+    /// collects, so it ignores heap caps and nursery sizes.
     Env,
     /// The flat-bytecode register machine ([`regmachine::BcMachine`])
     /// over [`bytecode::BcProgram`]: per-class operand stacks, fused
     /// superinstructions, join jumps as gotos. Same outcomes, errors
-    /// and allocation counters; step counts legitimately differ. The
-    /// fastest engine — how the benchmarks run.
+    /// and allocation counters; `steps` counts bytecode instructions.
+    /// The default: the fastest engine, and the only one that collects
+    /// garbage and enforces a live-heap cap.
+    #[default]
     Bytecode,
 }

@@ -25,7 +25,10 @@
 //!   engine's copying collector after each collection
 //!   ([`ServeError::HeapCapExceeded`]): long-lived workers stay
 //!   bounded under allocation churn, while a request whose *reachable*
-//!   data outgrows the cap is killed;
+//!   data outgrows the cap is killed. It applies on the default
+//!   engine; a request that sets it (or a GC nursery) on an engine
+//!   that never collects is refused with [`ServeError::UnsupportedKnob`]
+//!   instead of running uncapped;
 //! * **load shedding** — the request queue is a bounded
 //!   `mpsc::sync_channel`; when it is full, [`EvalService::submit`]
 //!   rejects immediately with [`ServeError::Overloaded`] instead of

@@ -20,6 +20,13 @@
 //!   reachable data outgrows the cap dies with
 //!   [`ServeError::HeapCapExceeded`], while high-churn/low-residency
 //!   programs run indefinitely under a bounded heap.
+//!
+//! The heap knobs ([`EvalRequest::heap_cap`], [`EvalRequest::gc_nursery`])
+//! only mean something on the collecting engine, [`Engine::Bytecode`]
+//! (the default). A request that sets one on [`Engine::Subst`] or
+//! [`Engine::Env`] is refused at the door with
+//! [`ServeError::UnsupportedKnob`] rather than run without the limit
+//! it asked for.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -89,7 +96,7 @@ pub struct EvalRequest {
 
 impl EvalRequest {
     /// A request to evaluate `main` of `source` on the default engine
-    /// under the service's default limits.
+    /// ([`Engine::Bytecode`]) under the service's default limits.
     pub fn source(source: impl Into<String>) -> EvalRequest {
         EvalRequest {
             source: source.into(),
@@ -130,7 +137,9 @@ impl EvalRequest {
     /// the bytecode engine checks that the reachable data fits, and
     /// kills the request with [`ServeError::HeapCapExceeded`]
     /// otherwise. Unlike [`Self::alloc_cap`], churn that the collector
-    /// reclaims does not count.
+    /// reclaims does not count. Only the bytecode engine collects: on
+    /// any other engine the request is refused with
+    /// [`ServeError::UnsupportedKnob`].
     pub fn heap_cap(mut self, bytes: u64) -> EvalRequest {
         self.heap_bytes = Some(bytes);
         self
@@ -138,10 +147,28 @@ impl EvalRequest {
 
     /// Override the bytecode engine's GC nursery (collection trigger)
     /// for this request, in heap cells. Mostly a testing knob: tiny
-    /// nurseries force frequent collections.
+    /// nurseries force frequent collections. Refused with
+    /// [`ServeError::UnsupportedKnob`] on any other engine.
     pub fn gc_nursery(mut self, cells: usize) -> EvalRequest {
         self.gc_nursery = Some(cells);
         self
+    }
+
+    /// Refuses a heap knob on an engine that never collects.
+    fn check_knobs(&self) -> Result<(), ServeError> {
+        let knob = if self.heap_bytes.is_some() {
+            "heap_cap"
+        } else if self.gc_nursery.is_some() {
+            "gc_nursery"
+        } else {
+            return Ok(());
+        };
+        match self.engine {
+            Engine::Bytecode => Ok(()),
+            engine @ (Engine::Subst | Engine::Env) => {
+                Err(ServeError::UnsupportedKnob { engine, knob })
+            }
+        }
     }
 }
 
@@ -186,6 +213,15 @@ pub enum ServeError {
         /// The cap (bytes) that was exceeded.
         limit: u64,
     },
+    /// The request set a heap knob (`heap_cap` or `gc_nursery`) on an
+    /// engine that never collects, so the knob could not be honoured;
+    /// it was refused before being queued.
+    UnsupportedKnob {
+        /// The engine the request named.
+        engine: Engine,
+        /// The knob it cannot honour.
+        knob: &'static str,
+    },
     /// The machine rejected the program (stuck term, unknown global …).
     Machine(MachineError),
 }
@@ -207,6 +243,12 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::HeapCapExceeded { limit } => {
                 write!(f, "request killed: live heap cap of {limit} bytes exceeded")
+            }
+            ServeError::UnsupportedKnob { engine, knob } => {
+                write!(
+                    f,
+                    "request rejected: {knob} needs a collecting engine, and {engine:?} never collects"
+                )
             }
             ServeError::Machine(e) => write!(f, "machine error: {e}"),
         }
@@ -232,6 +274,9 @@ pub struct ServeCounters {
     pub heap_killed: u64,
     /// Requests whose program failed to compile.
     pub compile_failed: u64,
+    /// Requests refused at the door for setting a heap knob on an
+    /// engine that never collects ([`ServeError::UnsupportedKnob`]).
+    pub knob_rejected: u64,
     /// Program-cache counters (hits/misses/collisions).
     pub cache: CacheStats,
 }
@@ -266,6 +311,7 @@ struct Counters {
     alloc_killed: AtomicU64,
     heap_killed: AtomicU64,
     compile_failed: AtomicU64,
+    knob_rejected: AtomicU64,
 }
 
 struct Shared {
@@ -312,9 +358,18 @@ impl EvalService {
     }
 
     /// Enqueues a request without blocking. Fails fast with
-    /// [`ServeError::Overloaded`] when the queue is full.
+    /// [`ServeError::Overloaded`] when the queue is full, and with
+    /// [`ServeError::UnsupportedKnob`] when the request sets a heap
+    /// knob its engine cannot honour.
     pub fn submit(&self, request: EvalRequest) -> Result<Ticket, ServeError> {
         let queue = self.queue.as_ref().ok_or(ServeError::ShutDown)?;
+        if let Err(e) = request.check_knobs() {
+            self.shared
+                .counters
+                .knob_rejected
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(e);
+        }
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         let job = Job {
             request,
@@ -352,6 +407,7 @@ impl EvalService {
             alloc_killed: c.alloc_killed.load(Ordering::Relaxed),
             heap_killed: c.heap_killed.load(Ordering::Relaxed),
             compile_failed: c.compile_failed.load(Ordering::Relaxed),
+            knob_rejected: c.knob_rejected.load(Ordering::Relaxed),
             cache: self.shared.cache.stats(),
         }
     }
@@ -549,6 +605,58 @@ mod tests {
                 .unwrap();
             assert_eq!(resp.outcome.value().and_then(|v| v.as_int()), Some(10));
         }
+        service.shutdown();
+    }
+
+    #[test]
+    fn heap_knobs_on_non_collecting_engines_are_rejected() {
+        let service = small_service(1);
+        let refused = [
+            (
+                Engine::Subst,
+                EvalRequest::source(ADD).heap_cap(4096),
+                "heap_cap",
+            ),
+            (
+                Engine::Env,
+                EvalRequest::source(ADD).heap_cap(4096),
+                "heap_cap",
+            ),
+            (
+                Engine::Subst,
+                EvalRequest::source(ADD).gc_nursery(64),
+                "gc_nursery",
+            ),
+            (
+                Engine::Env,
+                EvalRequest::source(ADD).gc_nursery(64),
+                "gc_nursery",
+            ),
+        ];
+        for (n, (engine, req, knob)) in refused.into_iter().enumerate() {
+            let err = service.submit(req.engine(engine)).unwrap_err();
+            assert_eq!(err, ServeError::UnsupportedKnob { engine, knob });
+            let counters = service.counters();
+            assert_eq!(counters.knob_rejected, n as u64 + 1);
+            // Refused at the door: never queued, never compiled.
+            assert_eq!(counters.submitted, 0);
+            assert_eq!(counters.cache.misses, 0);
+        }
+        // The service still serves: the same knobs on the collecting
+        // engine, and a plain request on the refused engines.
+        let ok = service
+            .call(EvalRequest::source(ADD).heap_cap(4096).gc_nursery(64))
+            .unwrap();
+        assert_eq!(ok.outcome.value().and_then(|v| v.as_int()), Some(7));
+        for engine in [Engine::Subst, Engine::Env] {
+            let ok = service
+                .call(EvalRequest::source(ADD).engine(engine))
+                .unwrap();
+            assert_eq!(ok.outcome.value().and_then(|v| v.as_int()), Some(7));
+        }
+        let counters = service.counters();
+        assert_eq!(counters.completed, 3);
+        assert_eq!(counters.knob_rejected, 4);
         service.shutdown();
     }
 

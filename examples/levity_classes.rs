@@ -10,6 +10,7 @@
 
 use levity::core::pretty::PrintOptions;
 use levity::driver::compile_with_prelude;
+use levity::m::Engine;
 
 fn main() {
     let source = r#"
@@ -42,7 +43,10 @@ main = case squareInt 6 of { I# boxed ->
     println!("\n(`Num a -> …` is the dictionary argument; `Num` dictionaries are");
     println!(" ordinary boxed records, so the selectors obey section 5.1.)\n");
 
-    let (outcome, stats) = compiled.run("main", 10_000_000).expect("runs");
+    // Steps and lookups on the reference engine: Figure 6 transitions.
+    let (outcome, stats) = compiled
+        .run_with_engine("main", 10_000_000, Engine::Subst)
+        .expect("runs");
     println!("main = 36 + (9 + 16) + 2 = {outcome:?}");
     println!(
         "machine: {} steps, {} var lookups (dictionary fetches included)",

@@ -1,13 +1,15 @@
 //! E3 — §2.3: `divMod` returning a boxed pair vs an unboxed tuple.
 //!
 //! "During compilation, the unboxed tuple is erased completely":
-//! watch the allocation counters.
+//! watch the allocation counters. The counters come from the reference
+//! engine (`Engine::Subst`), so "machine steps" are Figure 6 transitions.
 //!
 //! ```sh
 //! cargo run --example unboxed_tuples
 //! ```
 
 use levity::driver::compile_with_prelude;
+use levity::m::Engine;
 
 const UNBOXED: &str = "divMod# :: Int# -> Int# -> (# Int#, Int# #)\n\
      divMod# n k = (# quotInt# n k, remInt# n k #)\n\
@@ -29,8 +31,12 @@ const BOXED: &str = "divModB :: Int# -> Int# -> Pair Int Int\n\
 fn main() {
     let unboxed = compile_with_prelude(UNBOXED).expect("unboxed compiles");
     let boxed = compile_with_prelude(BOXED).expect("boxed compiles");
-    let (uo, us) = unboxed.run("main", 1_000_000_000).expect("runs");
-    let (bo, bs) = boxed.run("main", 1_000_000_000).expect("runs");
+    let (uo, us) = unboxed
+        .run_with_engine("main", 1_000_000_000, Engine::Subst)
+        .expect("runs");
+    let (bo, bs) = boxed
+        .run_with_engine("main", 1_000_000_000, Engine::Subst)
+        .expect("runs");
     assert_eq!(
         uo.value().and_then(|v| v.as_int()),
         bo.value().and_then(|v| v.as_int())

@@ -295,8 +295,9 @@ fn deep_polymorphic_recursion_with_signature() {
 
 mod optimizer_boundaries {
     use levity::driver::{
-        compile_prelude, compile_with_prelude, compile_with_prelude_opt, OptLevel,
+        compile_prelude, compile_with_prelude, compile_with_prelude_opt, Compiled, OptLevel,
     };
+    use levity::m::Engine;
 
     /// Programs must behave identically at `O0` and the default level,
     /// through the full pipeline entry points (the differential suite
@@ -452,7 +453,8 @@ mod optimizer_boundaries {
     /// The PR-4 acceptance criterion, pinned in tier-1: a
     /// `Num a => a -> a` helper driving the §7.3 loop reaches ≤1.1x
     /// the step count of the direct primop loop at O2, at `Int` and at
-    /// `Int#` alike.
+    /// `Int#` alike. Steps are the Figure 6 model, so this runs on the
+    /// reference engine.
     #[test]
     fn specialised_helper_loops_match_direct_primop_step_counts() {
         let direct = compile_with_prelude(
@@ -480,9 +482,13 @@ mod optimizer_boundaries {
              main = loop 0 1000\n",
         )
         .unwrap();
-        let (dv, ds) = direct.run("main", super::FUEL).unwrap();
-        let (uv, us) = unboxed.run("main", super::FUEL).unwrap();
-        let (bv, bs) = boxed.run("main", super::FUEL).unwrap();
+        let fig6 = |c: &Compiled| {
+            c.run_with_engine("main", super::FUEL, Engine::Subst)
+                .unwrap()
+        };
+        let (dv, ds) = fig6(&direct);
+        let (uv, us) = fig6(&unboxed);
+        let (bv, bs) = fig6(&boxed);
         assert_eq!(
             dv.value().and_then(|v| v.as_int()),
             uv.value().and_then(|v| v.as_int())
@@ -545,7 +551,8 @@ mod optimizer_boundaries {
     /// sum_to loop at O2 runs within 1.1x of the direct primop loop's
     /// step count and allocates ~0 words per iteration, and the same
     /// holds for a CPR'd recursive divMod loop against its hand-written
-    /// unboxed-tuple equivalent.
+    /// unboxed-tuple equivalent. Steps are the Figure 6 model, so this
+    /// runs on the reference engine.
     #[test]
     fn boxed_and_cpr_loops_match_direct_primop_step_counts() {
         // sum_to/boxed vs the direct unboxed loop.
@@ -563,8 +570,12 @@ mod optimizer_boundaries {
              main = sumTo# 0# 5000#\n",
         )
         .unwrap();
-        let (bv, bs) = boxed.run("main", super::FUEL).unwrap();
-        let (dv, ds) = direct.run("main", super::FUEL).unwrap();
+        let fig6 = |c: &Compiled| {
+            c.run_with_engine("main", super::FUEL, Engine::Subst)
+                .unwrap()
+        };
+        let (bv, bs) = fig6(&boxed);
+        let (dv, ds) = fig6(&direct);
         assert_eq!(
             bv.value().and_then(|v| v.as_boxed_int()),
             dv.value().and_then(|v| v.as_int())
@@ -605,8 +616,8 @@ mod optimizer_boundaries {
              main = loop 0# 1000#\n",
         )
         .unwrap();
-        let (cv, cs) = cpr.run("main", super::FUEL).unwrap();
-        let (tv, ts) = tuple.run("main", super::FUEL).unwrap();
+        let (cv, cs) = fig6(&cpr);
+        let (tv, ts) = fig6(&tuple);
         assert_eq!(
             cv.value().and_then(|v| v.as_int()),
             tv.value().and_then(|v| v.as_int())

@@ -228,36 +228,38 @@ fn soak_churn_requests_stay_inside_a_live_heap_cap() {
 
 /// The residency cap as a tenancy policy: a request whose *live* data
 /// outgrows its cap is killed with a structured error and its own
-/// counter, and the worker survives to serve the next request.
+/// counter, and the worker survives to serve the next request. It holds
+/// whether the request names the bytecode engine or names none: the
+/// default engine collects, so a tenant's cap applies by default.
 #[test]
 fn over_residency_request_is_killed_and_counted() {
+    assert_eq!(Engine::default(), Engine::Bytecode);
     let service = EvalService::start(ServeConfig {
         workers: 1,
         ..ServeConfig::default()
     });
-    // ALLOC_HEAVY keeps a 300-cell chain fully reachable — no amount
-    // of collecting fits that in 4KiB.
-    let err = service
-        .call(
-            EvalRequest::source(MIXED_CORPUS[4].source)
-                .engine(Engine::Bytecode)
-                .gc_nursery(64)
-                .heap_cap(4096),
-        )
-        .unwrap_err();
-    assert_eq!(err, ServeError::HeapCapExceeded { limit: 4096 });
-    assert_eq!(service.counters().heap_killed, 1);
-    // Same cap, churn-shaped traffic: lives happily within it.
-    let resp = service
-        .call(
-            EvalRequest::source(CHURN.source)
-                .engine(Engine::Bytecode)
-                .gc_nursery(64)
-                .heap_cap(4096),
-        )
-        .unwrap();
-    assert_eq!(expected_int(&resp.outcome), Some(CHURN.expected));
-    assert!(resp.stats.collections > 0);
+    for (n, engine) in [Some(Engine::Bytecode), None].into_iter().enumerate() {
+        let capped = |src: &str| {
+            let req = EvalRequest::source(src).gc_nursery(64).heap_cap(4096);
+            match engine {
+                Some(engine) => req.engine(engine),
+                None => req,
+            }
+        };
+        // ALLOC_HEAVY keeps a 300-cell chain fully reachable — no
+        // amount of collecting fits that in 4KiB.
+        let err = service.call(capped(MIXED_CORPUS[4].source)).unwrap_err();
+        assert_eq!(
+            err,
+            ServeError::HeapCapExceeded { limit: 4096 },
+            "{engine:?}"
+        );
+        assert_eq!(service.counters().heap_killed, n as u64 + 1);
+        // Same cap, churn-shaped traffic: lives happily within it.
+        let resp = service.call(capped(CHURN.source)).unwrap();
+        assert_eq!(expected_int(&resp.outcome), Some(CHURN.expected));
+        assert!(resp.stats.collections > 0, "{engine:?}");
+    }
     service.shutdown();
 }
 
