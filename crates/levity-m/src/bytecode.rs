@@ -47,7 +47,7 @@ use levity_core::symbol::Symbol;
 
 use crate::compile::{CAlt, CAtom, CJoin, Code, CodeProgram, GlobalId};
 use crate::machine::MachineError;
-use crate::syntax::{Addr, Binder, DataCon, Literal, PrimOp};
+use crate::syntax::{Binder, DataCon, Literal, PrimOp};
 
 /// Self tail-calls up to this arity resolve their arguments through a
 /// fixed interpreter-stack buffer — no heap allocation on the
@@ -94,15 +94,6 @@ pub enum FSrc {
     K(u32),
 }
 
-/// A pointer-stack operand.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum PSrc {
-    /// Frame-relative pointer register.
-    R(u16),
-    /// Immediate heap address (runtime-built terms only).
-    K(Addr),
-}
-
 /// The primitive half of a prim-fused superinstruction: a two-operand
 /// word primop and its destination register. The fused interpreter arm
 /// executes it — counters, errors and the register write all exactly
@@ -130,8 +121,10 @@ pub enum Src {
     D(DSrc),
     /// Float-class operand.
     F(FSrc),
-    /// Pointer-class operand.
-    P(PSrc),
+    /// Pointer-class operand: always a frame-relative register. Heap
+    /// addresses exist only at run time, so there are no pointer
+    /// immediates.
+    P(u16),
     /// A variable free at compile time; resolving it raises
     /// `UnboundVariable` at the same program point as the other engines.
     U(Symbol),
@@ -230,8 +223,8 @@ pub enum Instr {
     MovP {
         /// Destination slot.
         dst: u16,
-        /// Source operand.
-        src: PSrc,
+        /// Source pointer register.
+        src: u16,
     },
     /// Two-argument integer-family primop into a word register. No tag
     /// checks on the fast path: both operands come off the word stack.
@@ -395,8 +388,8 @@ pub enum Instr {
     /// a return frame resuming at the next instruction), blackhole →
     /// `<<loop>>`.
     EvalP(
-        /// The pointer to evaluate.
-        PSrc,
+        /// The pointer register to evaluate.
+        u16,
     ),
     /// Build a constructor value in the accumulator (counts the §2.1
     /// boxing event; the cell is allocated only when the value is
@@ -972,11 +965,10 @@ impl<'a> FnCx<'a> {
                     Slot::Word => Src::W(WSrc::R(reg.slot)),
                     Slot::Double => Src::D(DSrc::R(reg.slot)),
                     Slot::Float => Src::F(FSrc::R(reg.slot)),
-                    Slot::Ptr => Src::P(PSrc::R(reg.slot)),
+                    Slot::Ptr => Src::P(reg.slot),
                 }
             }
             CAtom::Lit(l) => lit_src(l),
-            CAtom::Addr(addr) => Src::P(PSrc::K(addr)),
             CAtom::Unbound(x) => Src::U(x),
         }
     }
@@ -993,7 +985,7 @@ impl<'a> FnCx<'a> {
                 Slot::Word => Src::W(WSrc::R(r.slot)),
                 Slot::Double => Src::D(DSrc::R(r.slot)),
                 Slot::Float => Src::F(FSrc::R(r.slot)),
-                Slot::Ptr => Src::P(PSrc::R(r.slot)),
+                Slot::Ptr => Src::P(r.slot),
             })
             .collect()
     }
@@ -1965,7 +1957,6 @@ impl<'a> FnCx<'a> {
                 }
             }
             CAtom::Lit(l) => Some(l.slot()),
-            CAtom::Addr(_) => Some(Slot::Ptr),
             CAtom::Unbound(_) => None,
         }
     }
@@ -2349,7 +2340,7 @@ fn reads_reg(s: Src, r: Reg) -> bool {
         (Src::W(WSrc::R(i)), Slot::Word) => i == r.slot,
         (Src::D(DSrc::R(i)), Slot::Double) => i == r.slot,
         (Src::F(FSrc::R(i)), Slot::Float) => i == r.slot,
-        (Src::P(PSrc::R(i)), Slot::Ptr) => i == r.slot,
+        (Src::P(i), Slot::Ptr) => i == r.slot,
         _ => false,
     }
 }
@@ -2472,15 +2463,6 @@ impl fmt::Display for F {
         }
     }
 }
-struct P(PSrc);
-impl fmt::Display for P {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            PSrc::R(i) => write!(f, "p{i}"),
-            PSrc::K(a) => write!(f, "{a}"),
-        }
-    }
-}
 struct S(Src);
 impl fmt::Display for S {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -2488,7 +2470,7 @@ impl fmt::Display for S {
             Src::W(s) => write!(f, "{}", W(s)),
             Src::D(s) => write!(f, "{}", D(s)),
             Src::F(s) => write!(f, "{}", F(s)),
-            Src::P(s) => write!(f, "{}", P(s)),
+            Src::P(i) => write!(f, "p{i}"),
             Src::U(x) => write!(f, "?{x}"),
         }
     }
@@ -2576,7 +2558,7 @@ impl fmt::Display for DisasmInstr<'_> {
             Instr::MovW { dst, src } => write!(f, "mov.w w{dst}, {}", W(*src)),
             Instr::MovD { dst, src } => write!(f, "mov.d d{dst}, {}", D(*src)),
             Instr::MovF { dst, src } => write!(f, "mov.f f{dst}, {}", F(*src)),
-            Instr::MovP { dst, src } => write!(f, "mov.p p{dst}, {}", P(*src)),
+            Instr::MovP { dst, src } => write!(f, "mov.p p{dst}, p{src}"),
             Instr::PrimW { op, dst, a, b } => {
                 write!(f, "prim.w w{dst}, {op} {} {}", W(*a), W(*b))
             }
@@ -2679,7 +2661,7 @@ impl fmt::Display for DisasmInstr<'_> {
             Instr::AccW(s) => write!(f, "acc.w {}", W(*s)),
             Instr::AccD(s) => write!(f, "acc.d {}", D(*s)),
             Instr::AccF(s) => write!(f, "acc.f {}", F(*s)),
-            Instr::EvalP(s) => write!(f, "eval.p {}", P(*s)),
+            Instr::EvalP(s) => write!(f, "eval.p p{s}"),
             Instr::MkCon { con, args } => write!(f, "mkcon {con} [{}]", fmt_srcs(args)),
             Instr::MkMulti { args } => write!(f, "mkmulti [{}]", fmt_srcs(args)),
             Instr::RetMulti { args } => write!(f, "ret.multi [{}]", fmt_srcs(args)),

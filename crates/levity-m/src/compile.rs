@@ -38,7 +38,7 @@ use std::sync::Arc;
 use levity_core::symbol::Symbol;
 
 use crate::machine::Globals;
-use crate::syntax::{Addr, Alt, Atom, Binder, DataCon, Literal, MExpr, PrimOp};
+use crate::syntax::{Alt, Atom, Binder, DataCon, Literal, MExpr, PrimOp};
 
 /// A compiled join-point definition: the body is compiled against the
 /// definition-site scope extended by the parameters, and the
@@ -59,6 +59,8 @@ pub struct CJoin {
 pub struct GlobalId(pub u32);
 
 /// A compiled atom: argument positions after variable resolution.
+/// There is no heap-address form: addresses exist only at run time
+/// (see `compile_atom`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CAtom {
     /// A de-Bruijn index into the runtime environment (0 = innermost
@@ -66,8 +68,6 @@ pub enum CAtom {
     Local(u32),
     /// A literal.
     Lit(Literal),
-    /// A pre-resolved heap address (only in terms built at runtime).
-    Addr(Addr),
     /// A variable that was free at compile time; resolving it at
     /// runtime reproduces `UnboundVariable` at the same program point
     /// as the substitution machine.
@@ -235,7 +235,10 @@ fn compile_atom(scope: &[Symbol], a: Atom) -> CAtom {
             None => CAtom::Unbound(x),
         },
         Atom::Lit(l) => CAtom::Lit(l),
-        Atom::Addr(addr) => CAtom::Addr(addr),
+        // Heap addresses exist only at run time, so compiled code has
+        // no operand for one: an address in a compiled term resolves
+        // like a free variable, to a structured `UnboundVariable`.
+        Atom::Addr(addr) => CAtom::Unbound(Symbol::intern(&addr.to_string())),
     }
 }
 

@@ -354,7 +354,6 @@ impl<'p> EnvMachine<'p> {
         match a {
             CAtom::Local(ix) => Ok(env.get(ix)),
             CAtom::Lit(l) => Ok(Atom::Lit(l)),
-            CAtom::Addr(addr) => Ok(Atom::Addr(addr)),
             CAtom::Unbound(x) => Err(MachineError::UnboundVariable(x)),
         }
     }
@@ -729,7 +728,6 @@ pub(crate) fn readback(code: &Code, names: &mut Vec<Symbol>, env: &Env) -> Arc<M
                 }
             }
             CAtom::Lit(l) => Atom::Lit(l),
-            CAtom::Addr(addr) => Atom::Addr(addr),
             CAtom::Unbound(x) => Atom::Var(x),
         }
     };
@@ -815,23 +813,6 @@ pub(crate) fn readback(code: &Code, names: &mut Vec<Symbol>, env: &Env) -> Arc<M
         Code::Global(_, g) | Code::UnknownGlobal(g) => MExpr::Global(*g),
         Code::Error(msg) => MExpr::Error(msg.clone()),
     })
-}
-
-/// Compiles and runs a program on the environment engine with fresh
-/// machine state, returning the outcome and statistics.
-///
-/// # Errors
-///
-/// See [`EnvMachine::run`].
-pub fn run_compiled(
-    program: &CodeProgram,
-    entry: &Code,
-    fuel: u64,
-) -> Result<(RunOutcome, MachineStats), MachineError> {
-    let mut machine = EnvMachine::new(program);
-    machine.set_fuel(fuel);
-    let outcome = machine.run(entry)?;
-    Ok((outcome, *machine.stats()))
 }
 
 #[cfg(test)]

@@ -22,10 +22,9 @@
 //! Roots are gathered by [`crate::regmachine::BcMachine`] at its
 //! allocation sites: the per-frame pointer windows (looked up in the
 //! retained verifier maps, not re-derived), pending `Upd`/`Arg` frames,
-//! and the accumulator. Programs whose code embeds an immediate heap
-//! address (`PSrc::K`) are never collected — the instruction stream
-//! cannot be forwarded — which simply preserves the pre-GC behaviour
-//! for them.
+//! and the accumulator. The instruction stream is never a root:
+//! bytecode has no heap-address operands, so every run of a program
+//! the verifier accepts can collect.
 
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -56,9 +55,9 @@ pub(crate) fn default_nursery_cells() -> usize {
 }
 
 /// The safepoint pointer maps for one (program, entry) pair: per-chunk
-/// per-pc heights retained from verification (or re-derived lazily for
-/// checked runs). Entry chunk ids continue the program's id space at
-/// `base`.
+/// per-pc heights retained by a verifier witness
+/// ([`crate::verify::VerifiedEntry::ptr_maps`], the only constructor
+/// caller). Entry chunk ids continue the program's id space at `base`.
 #[derive(Clone, Debug)]
 pub(crate) struct PtrMaps {
     base: usize,

@@ -81,7 +81,7 @@ pub use bytecode::{BcEntry, BcProgram};
 pub use compile::CodeProgram;
 pub use env::EnvMachine;
 pub use machine::{Globals, Machine, MachineError, MachineStats, RunOutcome, Value};
-pub use regmachine::{run_bytecode, BcMachine};
+pub use regmachine::BcMachine;
 pub use syntax::{Addr, Alt, Atom, Binder, DataCon, Literal, MExpr, PrimOp};
 pub use verify::{verify, VerifiedEntry, VerifiedProgram, VerifyError, VerifyErrorKind};
 

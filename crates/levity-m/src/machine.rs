@@ -434,6 +434,14 @@ impl From<PrimError> for MachineError {
     }
 }
 
+/// The cell at `addr`. Addresses in the input term are not checked
+/// against the heap up front, so a dangling one surfaces here as a
+/// structured error rather than an out-of-bounds index.
+fn heap_cell(heap: &[HeapCell], addr: Addr) -> Result<&HeapCell, MachineError> {
+    heap.get(addr.0 as usize)
+        .ok_or_else(|| MachineError::InvalidState(format!("dangling heap address {addr}")))
+}
+
 /// The register class of a resolved atom. Shared by both engines so
 /// the §6.2 check cannot drift between them.
 pub(crate) fn class_of_atom(a: Atom) -> Slot {
@@ -575,7 +583,7 @@ impl Machine {
     fn literal_of(&self, a: Atom) -> Result<Literal, MachineError> {
         match self.resolve(a)? {
             Atom::Lit(l) => Ok(l),
-            Atom::Addr(addr) => match &self.heap[addr.0 as usize] {
+            Atom::Addr(addr) => match heap_cell(&self.heap, addr)? {
                 HeapCell::Value(Value::Lit(l)) => Ok(*l),
                 _ => Err(MachineError::InvalidState(format!(
                     "primop argument at {addr} is not an evaluated literal"
@@ -639,7 +647,7 @@ impl Machine {
             MExpr::Atom(Atom::Lit(l)) => Ok(Control::Ret(Value::Lit(*l))),
             MExpr::Atom(Atom::Addr(a)) => {
                 let ix = a.0 as usize;
-                match &self.heap[ix] {
+                match heap_cell(&self.heap, *a)? {
                     // VAL
                     HeapCell::Value(w) => {
                         self.stats.var_lookups += 1;

@@ -30,9 +30,7 @@ use std::sync::Arc;
 
 use levity_core::rep::Slot;
 
-use crate::bytecode::{
-    BAlt, BDefault, BcEntry, BcProgram, Chunk, DSrc, FSrc, Instr, PSrc, Src, WSrc,
-};
+use crate::bytecode::{BAlt, BDefault, BcEntry, BcProgram, Chunk, DSrc, FSrc, Instr, Src, WSrc};
 use crate::env::Env;
 use crate::machine::{check_atom_class, MachineError, MachineStats, RunOutcome, Value};
 use crate::prim::apply_prim;
@@ -168,11 +166,13 @@ enum Popped {
 }
 
 /// How the collector's safepoint pointer maps get resolved for the
-/// current run. The checked path derives them lazily at the first
-/// collection (zero-allocation programs never pay); the verified path
-/// installs the maps retained by the verifier witness. Programs that
-/// embed immediate heap-address constants — which a moving collector
-/// cannot rewrite — run with GC `Off`, the pre-GC behaviour.
+/// current run. Both paths take them from a verifier witness
+/// ([`crate::verify::VerifiedEntry::ptr_maps`]): the verified path
+/// installs its witness's maps up front, the checked path verifies
+/// lazily at the first collection (zero-allocation programs never
+/// pay). GC is `Off` — the pre-GC behaviour — only for a checked run
+/// whose bytecode fails verification, or after a collection meets a
+/// safepoint the maps do not cover.
 #[derive(Debug)]
 enum GcMaps {
     Unresolved,
@@ -363,9 +363,9 @@ impl BcMachine {
     /// resolved maps (lazily deriving them on the checked path), hands
     /// all roots to [`crate::gc::collect`], then enforces the
     /// live-heap cap and re-arms the trigger at `max(nursery, 2 ×
-    /// live)`. If maps are unavailable — unverifiable code or embedded
-    /// address constants — GC turns `Off` for the run and the heap
-    /// keeps growing, the pre-collector behaviour.
+    /// live)`. If maps are unavailable — a checked run of unverifiable
+    /// code — GC turns `Off` for the run and the heap keeps growing,
+    /// the pre-collector behaviour.
     #[cold]
     fn collect_garbage(
         &mut self,
@@ -374,10 +374,10 @@ impl BcMachine {
         acc: &mut BValue,
     ) -> Result<(), MachineError> {
         if matches!(self.gc_maps, GcMaps::Unresolved) {
-            self.gc_maps = match crate::verify::pointer_maps_for(&self.program, entry) {
-                Some(maps) => GcMaps::Ready(maps),
-                None => GcMaps::Off,
-            };
+            let maps = crate::verify::verify(&self.program)
+                .ok()
+                .and_then(|program| program.verify_entry(entry).ok().map(|e| e.ptr_maps()));
+            self.gc_maps = maps.map_or(GcMaps::Off, GcMaps::Ready);
         }
         let GcMaps::Ready(maps) = &self.gc_maps else {
             return Ok(());
@@ -615,11 +615,8 @@ impl BcMachine {
     }
 
     #[inline]
-    fn psrc(&self, s: PSrc, bases: [usize; 4]) -> Addr {
-        match s {
-            PSrc::R(i) => self.ptrs[bases[0] + i as usize],
-            PSrc::K(a) => a,
-        }
+    fn psrc(&self, i: u16, bases: [usize; 4]) -> Addr {
+        self.ptrs[bases[0] + i as usize]
     }
 
     /// Resolves a classed operand to a runtime atom.
@@ -852,9 +849,9 @@ impl BcMachine {
     /// [`MachineError`] on broken invariants or fuel exhaustion;
     /// `error` is reported as `Ok(RunOutcome::Error(..))` (rule ERR).
     pub fn run(&mut self, entry: &BcEntry) -> Result<RunOutcome, MachineError> {
-        // Checked runs derive the collector's pointer maps lazily, at
-        // the first collection — the same dataflow the verifier runs,
-        // so both dispatch paths collect at identical points.
+        // Checked runs verify lazily, at the first collection, and take
+        // the pointer maps from that witness — the one derivation the
+        // verified path uses, so both collect at identical points.
         self.gc_maps = GcMaps::Unresolved;
         self.dispatch::<true>(entry)
     }
@@ -881,15 +878,7 @@ impl BcMachine {
         }
         // The witness already carries the per-pc heights — install
         // them as the collector's pointer maps instead of re-deriving.
-        self.gc_maps = if entry.collectible() {
-            GcMaps::Ready(crate::gc::PtrMaps::new(
-                self.program.chunks.len(),
-                Arc::clone(entry.program().maps()),
-                Arc::clone(entry.entry_maps()),
-            ))
-        } else {
-            GcMaps::Off
-        };
+        self.gc_maps = GcMaps::Ready(entry.ptr_maps());
         self.dispatch::<false>(entry.entry())
     }
 
@@ -1874,24 +1863,6 @@ fn word_prim2(op: PrimOp, a: WordV, b: WordV) -> Result<WordV, MachineError> {
     Ok(WordV::of_lit(apply_prim(op, &[a.lit(), b.lit()])?))
 }
 
-/// Compiles nothing — runs an already-compiled entry on a fresh
-/// machine over the program, returning the outcome and statistics.
-/// Mirrors [`crate::env::run_compiled`].
-///
-/// # Errors
-///
-/// See [`BcMachine::run`].
-pub fn run_bytecode(
-    program: &Arc<BcProgram>,
-    entry: &BcEntry,
-    fuel: u64,
-) -> Result<(RunOutcome, MachineStats), MachineError> {
-    let mut machine = BcMachine::new(Arc::clone(program));
-    machine.set_fuel(fuel);
-    let outcome = machine.run(entry)?;
-    Ok((outcome, *machine.stats()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1914,7 +1885,9 @@ mod tests {
         let program = CodeProgram::compile(&globals);
         let bc = Arc::new(BcProgram::compile(&program));
         let entry = bc.compile_entry(&program.compile_entry(&t));
-        run_bytecode(&bc, &entry, crate::machine::Machine::DEFAULT_FUEL)
+        let mut machine = BcMachine::new(bc);
+        let outcome = machine.run(&entry)?;
+        Ok((outcome, *machine.stats()))
     }
 
     #[test]
@@ -2175,8 +2148,10 @@ mod tests {
         let program = CodeProgram::compile(&globals);
         let bc = Arc::new(BcProgram::compile(&program));
         let entry = bc.compile_entry(&program.compile_entry(&MExpr::global("spin")));
+        let mut machine = BcMachine::new(bc);
+        machine.set_fuel(1000);
         assert_eq!(
-            run_bytecode(&bc, &entry, 1000).unwrap_err(),
+            machine.run(&entry).unwrap_err(),
             MachineError::OutOfFuel { limit: 1000 }
         );
     }

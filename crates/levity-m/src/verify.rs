@@ -44,7 +44,9 @@
 //! The per-class watermarks computed here are exactly the per-frame
 //! *pointer maps* a precise rep-directed garbage collector needs: at
 //! any pc, the collector may scan `bases[0] .. bases[0] + height[0]`
-//! pointer slots and nothing else.
+//! pointer slots and nothing else. The witness is the only place those
+//! maps are made: checked runs verify lazily at their first collection
+//! and take the maps from that witness too.
 
 use std::fmt;
 use std::sync::Arc;
@@ -52,7 +54,7 @@ use std::sync::Arc;
 use levity_core::rep::Slot;
 
 use crate::bytecode::{
-    class_ix, disasm_instr, BAlt, BcEntry, BcProgram, Chunk, DSrc, FSrc, Instr, PSrc, Src, WSrc,
+    class_ix, disasm_instr, BAlt, BcEntry, BcProgram, Chunk, DSrc, FSrc, Instr, Src, WSrc,
     SELF_CALL_BUF,
 };
 
@@ -230,27 +232,25 @@ impl std::error::Error for VerifyError {}
 /// The witness that a [`BcProgram`] passed verification. Constructible
 /// only via [`verify`]; holding one entitles the caller to
 /// [`crate::regmachine::BcMachine::run_verified`].
+///
+/// The witness is also the one source of the collector's pointer maps:
+/// the per-pc heights of the dataflow are retained here, and both the
+/// verified and the checked run take their maps from a witness (see
+/// `VerifiedEntry::ptr_maps`). Bytecode holds no heap addresses —
+/// pointer operands are always registers — so every verified run
+/// collects.
 #[derive(Clone, Debug)]
 pub struct VerifiedProgram {
     program: Arc<BcProgram>,
     /// Per-chunk, per-pc heights retained from the dataflow — the
     /// collector's safepoint pointer maps, indexed by chunk id.
     maps: Arc<[ChunkMap]>,
-    /// Whether the program is free of immediate heap-address constants
-    /// (`PSrc::K`), which a moving collector cannot forward.
-    gc_safe: bool,
 }
 
 impl VerifiedProgram {
     /// The verified program.
     pub fn program(&self) -> &Arc<BcProgram> {
         &self.program
-    }
-
-    /// The retained per-chunk pointer maps (parallel to
-    /// `program.chunks`).
-    pub(crate) fn maps(&self) -> &Arc<[ChunkMap]> {
-        &self.maps
     }
 
     /// The provable `[ptr, word, float, double]` initialized heights at
@@ -279,10 +279,8 @@ impl VerifiedProgram {
         };
         let base = self.program.chunks.len() as u32;
         let mut maps = Vec::with_capacity(entry.chunks.len());
-        let mut gc_safe = true;
         for (ix, chunk) in entry.chunks.iter().enumerate() {
             maps.push(verifier.verify_chunk(base + ix as u32, chunk)?);
-            gc_safe &= !mentions_addr_const(&chunk.code);
         }
         // The root is entered with no captures and no parameters.
         let Some(root) = verifier.chunk(entry.root) else {
@@ -311,7 +309,6 @@ impl VerifiedProgram {
             program: self,
             entry,
             maps: maps.into(),
-            gc_safe,
         })
     }
 }
@@ -326,9 +323,6 @@ pub struct VerifiedEntry<'a> {
     /// Pointer maps for the entry chunks (chunk ids continue the
     /// program's id space at `program.chunks.len()`).
     maps: Arc<[ChunkMap]>,
-    /// Whether the entry chunks are free of immediate heap-address
-    /// constants.
-    gc_safe: bool,
 }
 
 impl<'a> VerifiedEntry<'a> {
@@ -342,16 +336,16 @@ impl<'a> VerifiedEntry<'a> {
         self.entry
     }
 
-    /// The retained pointer maps for the entry chunks.
-    pub(crate) fn entry_maps(&self) -> &Arc<[ChunkMap]> {
-        &self.maps
-    }
-
-    /// Whether program and entry together are collectible: no chunk
-    /// embeds an immediate heap address the collector could not
-    /// forward.
-    pub(crate) fn collectible(&self) -> bool {
-        self.program.gc_safe && self.gc_safe
+    /// The collector's safepoint pointer maps for program and entry
+    /// together: the heights retained by both halves of the witness.
+    /// The one place maps are made, for checked and verified runs
+    /// alike.
+    pub(crate) fn ptr_maps(&self) -> crate::gc::PtrMaps {
+        crate::gc::PtrMaps::new(
+            self.program.program.chunks.len(),
+            Arc::clone(&self.program.maps),
+            Arc::clone(&self.maps),
+        )
     }
 }
 
@@ -383,69 +377,12 @@ pub fn verify(program: &Arc<BcProgram>) -> Result<VerifiedProgram, VerifyError> 
         }
     }
     let mut maps = Vec::with_capacity(program.chunks.len());
-    let mut gc_safe = true;
     for (ix, chunk) in program.chunks.iter().enumerate() {
         maps.push(verifier.verify_chunk(ix as u32, chunk)?);
-        gc_safe &= !mentions_addr_const(&chunk.code);
     }
     Ok(VerifiedProgram {
         program: Arc::clone(program),
         maps: maps.into(),
-        gc_safe,
-    })
-}
-
-/// Derives the collector's pointer maps for a checked (unverified) run
-/// of `entry` against `program`: the same worklist dataflow the
-/// verifier runs, retained per pc. Returns `None` if any chunk fails
-/// verification or embeds an immediate heap-address constant — the
-/// machine then simply never collects, which is the pre-GC behaviour.
-pub(crate) fn pointer_maps_for(program: &BcProgram, entry: &BcEntry) -> Option<crate::gc::PtrMaps> {
-    let verifier = Verifier {
-        program,
-        entry: Some(entry),
-    };
-    let base = program.chunks.len();
-    let mut prog_maps = Vec::with_capacity(base);
-    for (ix, chunk) in program.chunks.iter().enumerate() {
-        if mentions_addr_const(&chunk.code) {
-            return None;
-        }
-        prog_maps.push(verifier.verify_chunk(ix as u32, chunk).ok()?);
-    }
-    let mut entry_maps = Vec::with_capacity(entry.chunks.len());
-    for (ix, chunk) in entry.chunks.iter().enumerate() {
-        if mentions_addr_const(&chunk.code) {
-            return None;
-        }
-        entry_maps.push(verifier.verify_chunk((base + ix) as u32, chunk).ok()?);
-    }
-    Some(crate::gc::PtrMaps::new(
-        base,
-        prog_maps.into(),
-        entry_maps.into(),
-    ))
-}
-
-/// Whether any operand position of `code` holds an immediate heap
-/// address (`PSrc::K`). Such constants name cells directly in the
-/// instruction stream, where a moving collector cannot rewrite them —
-/// programs containing them run uncollected.
-fn mentions_addr_const(code: &[Instr]) -> bool {
-    let psrc = |s: &PSrc| matches!(s, PSrc::K(_));
-    let src = |s: &Src| matches!(s, Src::P(PSrc::K(_)));
-    code.iter().any(|i| match i {
-        Instr::MovP { src: s, .. } => psrc(s),
-        Instr::EvalP(s) => psrc(s),
-        Instr::GotoJ { args, .. }
-        | Instr::PrimA { args, .. }
-        | Instr::MkCon { args, .. }
-        | Instr::MkMulti { args }
-        | Instr::RetMulti { args }
-        | Instr::CallF { args, .. } => args.iter().any(src),
-        Instr::MkClos { caps, .. } | Instr::MkThunk { caps, .. } => caps.iter().any(src),
-        Instr::PushArg(s) => src(s),
-        _ => false,
     })
 }
 
@@ -609,13 +546,6 @@ impl ChunkVerifier<'_> {
         }
     }
 
-    fn read_p(&self, h: &Heights, s: PSrc) -> Result<(), VerifyError> {
-        match s {
-            PSrc::R(i) => self.read(h, Slot::Ptr, i),
-            PSrc::K(_) => Ok(()),
-        }
-    }
-
     /// Reads a classed operand. `Src::U` resolves to a structured
     /// `UnboundVariable` at runtime without touching a register, so it
     /// verifies (and its class is unknowable — callers skip class
@@ -625,7 +555,7 @@ impl ChunkVerifier<'_> {
             Src::W(w) => self.read_w(h, w),
             Src::D(d) => self.read_d(h, d),
             Src::F(fs) => self.read_f(h, fs),
-            Src::P(p) => self.read_p(h, p),
+            Src::P(i) => self.read(h, Slot::Ptr, i),
             Src::U(_) => Ok(()),
         }
     }
@@ -865,7 +795,7 @@ impl ChunkVerifier<'_> {
                 self.fallthrough(states, work, h)
             }
             Instr::MovP { dst, src } => {
-                self.read_p(&h, *src)?;
+                self.read(&h, Slot::Ptr, *src)?;
                 self.write(&mut h, Slot::Ptr, *dst)?;
                 self.fallthrough(states, work, h)
             }
@@ -1019,7 +949,7 @@ impl ChunkVerifier<'_> {
             Instr::EvalP(s) => {
                 // Both the value path and the post-force resume land
                 // on pc + 1 with this frame intact.
-                self.read_p(&h, *s)?;
+                self.read(&h, Slot::Ptr, *s)?;
                 self.fallthrough(states, work, h)
             }
             Instr::MkCon { args, .. } | Instr::MkMulti { args } => {

@@ -1,7 +1,8 @@
 //! Content-addressed cache of compiled programs.
 //!
-//! The key is a 64-bit FNV-1a hash of the source text plus the
-//! compilation options; the value is the fully compiled
+//! The key is a 64-bit FNV-1a hash of the source text (every program
+//! is compiled the same way: prelude in scope, at `O2`); the value is
+//! the fully compiled
 //! [`Compiled`] (Core, `M` globals, env-engine [`CodeProgram`] and
 //! flat bytecode), behind an `Arc` so every worker shares one copy.
 //!
@@ -33,8 +34,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use levity_driver::pipeline::{compile_source_opt, compile_with_prelude_opt, Compiled};
-use levity_driver::OptLevel;
+use levity_driver::pipeline::{compile_with_prelude, Compiled};
 
 /// The outcome of one compilation, as stored in the cache. Failures
 /// are cached too: a program that does not elaborate will not
@@ -43,26 +43,14 @@ use levity_driver::OptLevel;
 /// time.
 pub type CompileResult = Result<Arc<Compiled>, String>;
 
-/// FNV-1a (64-bit) over the source text and the compilation options.
-/// Stable across processes — usable as an external cache key or a log
-/// correlation id.
-pub fn content_hash(source: &str, opt_level: OptLevel, with_prelude: bool) -> u64 {
+/// FNV-1a (64-bit) over the source text. Stable across processes —
+/// usable as an external cache key or a log correlation id.
+pub fn content_hash(source: &str) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(source.as_bytes());
-    let opt_tag = match opt_level {
-        OptLevel::O0 => 0u8,
-        OptLevel::O2 => 2u8,
-    };
-    eat(&[0xff, opt_tag, u8::from(with_prelude)]);
-    h
+    source
+        .bytes()
+        .fold(OFFSET, |h, b| (h ^ u64::from(b)).wrapping_mul(PRIME))
 }
 
 /// One cache slot: the source that claimed this key (collision guard)
@@ -180,13 +168,8 @@ impl ProgramCache {
     /// only if no equivalent request has been compiled before. The
     /// `bool` is `true` on a cache hit (the pipeline did *not* run for
     /// this call).
-    pub fn get_or_compile(
-        &self,
-        source: &str,
-        opt_level: OptLevel,
-        with_prelude: bool,
-    ) -> (CompileResult, bool) {
-        let key = content_hash(source, opt_level, with_prelude);
+    pub fn get_or_compile(&self, source: &str) -> (CompileResult, bool) {
+        let key = content_hash(source);
         let slot = {
             let mut slots = self.lock_slots();
             if let Some(slot) = slots.map.get(&key) {
@@ -211,14 +194,14 @@ impl ProgramCache {
             // program. Compile uncached.
             self.collisions.fetch_add(1, Ordering::Relaxed);
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return (compile(source, opt_level, with_prelude), false);
+            return (compile(source), false);
         }
         let mut compiled_here = false;
         let result = slot
             .cell
             .get_or_init(|| {
                 compiled_here = true;
-                compile(source, opt_level, with_prelude)
+                compile(source)
             })
             .clone();
         if compiled_here {
@@ -254,13 +237,10 @@ impl ProgramCache {
 // compilation, so the witness is built once per cache *insert* and
 // every request served from the cache runs on the register machine's
 // unchecked fast path for free.
-fn compile(source: &str, opt_level: OptLevel, with_prelude: bool) -> CompileResult {
-    let result = if with_prelude {
-        compile_with_prelude_opt(source, opt_level)
-    } else {
-        compile_source_opt(source, opt_level)
-    };
-    result.map(Arc::new).map_err(|e| e.to_string())
+fn compile(source: &str) -> CompileResult {
+    compile_with_prelude(source)
+        .map(Arc::new)
+        .map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -272,21 +252,16 @@ mod tests {
 
     #[test]
     fn hash_is_stable_and_option_sensitive() {
-        let a = content_hash(SRC, OptLevel::O2, true);
-        assert_eq!(a, content_hash(SRC, OptLevel::O2, true));
-        assert_ne!(a, content_hash(SRC, OptLevel::O0, true));
-        assert_ne!(a, content_hash(SRC, OptLevel::O2, false));
-        assert_ne!(
-            a,
-            content_hash("main :: Int#\nmain = 41#\n", OptLevel::O2, true)
-        );
+        let a = content_hash(SRC);
+        assert_eq!(a, content_hash(SRC));
+        assert_ne!(a, content_hash("main :: Int#\nmain = 41#\n"));
     }
 
     #[test]
     fn second_request_is_a_hit_and_shares_the_program() {
         let cache = ProgramCache::new();
-        let (first, hit1) = cache.get_or_compile(SRC, OptLevel::O2, true);
-        let (second, hit2) = cache.get_or_compile(SRC, OptLevel::O2, true);
+        let (first, hit1) = cache.get_or_compile(SRC);
+        let (second, hit2) = cache.get_or_compile(SRC);
         assert!(!hit1);
         assert!(hit2);
         let (first, second) = (first.unwrap(), second.unwrap());
@@ -307,8 +282,8 @@ mod tests {
     fn failures_are_cached_too() {
         let cache = ProgramCache::new();
         let bad = "main :: Int#\nmain = notInScope\n";
-        let (r1, hit1) = cache.get_or_compile(bad, OptLevel::O2, true);
-        let (r2, hit2) = cache.get_or_compile(bad, OptLevel::O2, true);
+        let (r1, hit1) = cache.get_or_compile(bad);
+        let (r2, hit2) = cache.get_or_compile(bad);
         assert!(r1.is_err() && r2.is_err());
         assert!(!hit1);
         assert!(hit2, "a cached failure is still a hit");
@@ -321,17 +296,17 @@ mod tests {
         let good = SRC;
         let bad1 = "main :: Int#\nmain = nopeOne\n";
         let bad2 = "main :: Int#\nmain = nopeTwo\n";
-        assert!(cache.get_or_compile(good, OptLevel::O2, false).0.is_ok());
-        assert!(cache.get_or_compile(bad1, OptLevel::O2, false).0.is_err());
+        assert!(cache.get_or_compile(good).0.is_ok());
+        assert!(cache.get_or_compile(bad1).0.is_err());
         // Admitting a third entry at capacity 2 evicts — and the cached
         // failure goes before the older cached success.
-        assert!(cache.get_or_compile(bad2, OptLevel::O2, false).0.is_err());
+        assert!(cache.get_or_compile(bad2).0.is_err());
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
-        let (again, hit) = cache.get_or_compile(good, OptLevel::O2, false);
+        let (again, hit) = cache.get_or_compile(good);
         assert!(again.is_ok());
         assert!(hit, "the success survived the eviction");
-        let (refailed, hit) = cache.get_or_compile(bad1, OptLevel::O2, false);
+        let (refailed, hit) = cache.get_or_compile(bad1);
         assert!(refailed.is_err());
         assert!(!hit, "the evicted failure recompiles");
     }
@@ -341,7 +316,7 @@ mod tests {
         let cache = ProgramCache::with_capacity(4);
         for i in 0..12 {
             let bad = format!("main :: Int#\nmain = nope{i}\n");
-            assert!(cache.get_or_compile(&bad, OptLevel::O2, false).0.is_err());
+            assert!(cache.get_or_compile(&bad).0.is_err());
             assert!(cache.len() <= 4, "resident entries exceed capacity");
         }
         assert_eq!(cache.len(), 4);
@@ -352,7 +327,7 @@ mod tests {
     #[test]
     fn poisoned_cache_still_serves() {
         let cache = Arc::new(ProgramCache::new());
-        assert!(cache.get_or_compile(SRC, OptLevel::O2, true).0.is_ok());
+        assert!(cache.get_or_compile(SRC).0.is_ok());
         // Poison the mutex: a thread panics while holding the guard.
         let poisoner = Arc::clone(&cache);
         let _ = thread::spawn(move || {
@@ -363,10 +338,10 @@ mod tests {
         assert!(cache.slots.is_poisoned() || cache.is_empty());
         // The cache degrades to cold instead of failing forever: the
         // table is rebuilt and requests keep compiling and caching.
-        let (first, hit) = cache.get_or_compile(SRC, OptLevel::O2, true);
+        let (first, hit) = cache.get_or_compile(SRC);
         assert!(first.is_ok());
         assert!(!hit, "the poisoned table was cleared, so this recompiles");
-        let (second, hit) = cache.get_or_compile(SRC, OptLevel::O2, true);
+        let (second, hit) = cache.get_or_compile(SRC);
         assert!(second.is_ok());
         assert!(hit, "caching works again after recovery");
     }
@@ -379,7 +354,7 @@ mod tests {
                 .map(|_| {
                     let cache = Arc::clone(&cache);
                     s.spawn(move || {
-                        let (r, hit) = cache.get_or_compile(SRC, OptLevel::O2, true);
+                        let (r, hit) = cache.get_or_compile(SRC);
                         r.unwrap();
                         hit
                     })

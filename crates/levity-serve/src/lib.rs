@@ -67,6 +67,5 @@ pub use service::{
 // Re-exported so service users name engines/limits without an extra
 // dependency edge.
 pub use levity_driver::pipeline::RunLimits;
-pub use levity_driver::OptLevel;
 pub use levity_m::machine::{MachineError, MachineStats, RunOutcome};
 pub use levity_m::Engine;

@@ -34,13 +34,13 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 
 use levity_driver::pipeline::RunLimits;
-use levity_driver::OptLevel;
 use levity_m::machine::{Machine, MachineError, MachineStats, RunOutcome};
 use levity_m::Engine;
 
 use crate::cache::{CacheStats, ProgramCache};
 
-/// Configuration for [`EvalService::start`].
+/// Configuration for [`EvalService::start`]. Every submitted program
+/// is compiled the same way, with the prelude in scope at `O2`.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Worker threads in the pool.
@@ -56,10 +56,6 @@ pub struct ServeConfig {
     /// Allocation cap (words) for requests that do not ask for one.
     /// `None` = unlimited.
     pub default_alloc_words: Option<u64>,
-    /// Optimisation level programs are compiled at.
-    pub opt_level: OptLevel,
-    /// Whether the standard prelude is in scope for submitted programs.
-    pub with_prelude: bool,
     /// Maximum distinct programs the compile cache retains; beyond it
     /// the cache evicts (compile failures first). Keeps a tenant
     /// spraying distinct programs from growing the cache without
@@ -75,8 +71,6 @@ impl Default for ServeConfig {
             default_fuel: Machine::DEFAULT_FUEL,
             max_fuel: Machine::DEFAULT_FUEL,
             default_alloc_words: None,
-            opt_level: OptLevel::O2,
-            with_prelude: true,
             cache_capacity: 256,
         }
     }
@@ -461,10 +455,7 @@ fn worker_loop(index: usize, rx: &Mutex<Receiver<Job>>, shared: &Shared) {
 
 fn process(worker: usize, req: &EvalRequest, shared: &Shared) -> Result<EvalResponse, ServeError> {
     let config = &shared.config;
-    let (compiled, cache_hit) =
-        shared
-            .cache
-            .get_or_compile(&req.source, config.opt_level, config.with_prelude);
+    let (compiled, cache_hit) = shared.cache.get_or_compile(&req.source);
     let compiled = compiled.map_err(ServeError::Compile)?;
     let limits = RunLimits {
         fuel: req.fuel.unwrap_or(config.default_fuel).min(config.max_fuel),

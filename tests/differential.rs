@@ -80,7 +80,7 @@ fn run_env(globals: &Globals, t: &Arc<MExpr>, fuel: u64) -> MachineResult {
 }
 
 /// Runs the same term on the flat-bytecode register machine.
-fn run_bytecode(globals: &Globals, t: &Arc<MExpr>, fuel: u64) -> MachineResult {
+fn run_bc(globals: &Globals, t: &Arc<MExpr>, fuel: u64) -> MachineResult {
     let program = CodeProgram::compile(globals);
     let bc = Arc::new(BcProgram::compile(&program));
     let entry = bc.compile_entry(&program.compile_entry(t));
@@ -150,7 +150,7 @@ fn assert_engines_agree(globals: &Globals, t: &Arc<MExpr>, fuel: u64, what: &str
     let subst = run_subst(globals, t, fuel);
     let env = run_env(globals, t, fuel);
     assert_eq!(subst, env, "engines disagree on {what}: {t}");
-    let bc = run_bytecode(globals, t, fuel);
+    let bc = run_bc(globals, t, fuel);
     assert_bytecode_agrees(&env, &bc, what);
 }
 
@@ -688,7 +688,7 @@ proptest! {
         let subst = run_subst(&globals, &t, 2_000_000);
         let env = run_env(&globals, &t, 2_000_000);
         prop_assert_eq!(&subst, &env, "engines disagree on generated term {}", e);
-        let bc = run_bytecode(&globals, &t, 2_000_000);
+        let bc = run_bc(&globals, &t, 2_000_000);
         assert_bytecode_agrees(&env, &bc, &format!("generated term {e}"));
     }
 }

@@ -232,11 +232,12 @@ fn live_heap_cap_kills_what_churn_survives() {
 
 #[test]
 fn checked_and_verified_paths_collect_identically() {
-    // The unchecked fast path derives its pointer maps from the
-    // verifier witness; the checked path re-derives them lazily at the
-    // first collection. If the two ever collected at different program
-    // points, the GC counters would split — so demand *full* stats
-    // equality under a nursery tiny enough to collect constantly.
+    // The unchecked fast path takes its pointer maps from the witness
+    // it was given; the checked path verifies lazily at the first
+    // collection and takes them from that witness — one derivation. If
+    // the two ever collected at different program points, the GC
+    // counters would split — so demand *full* stats equality under a
+    // nursery tiny enough to collect constantly.
     let compiled = compile_with_prelude(CHURN).unwrap_or_else(|e| panic!("{e}"));
     let entry = compiled
         .bytecode

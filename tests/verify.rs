@@ -27,9 +27,9 @@ use levity::driver::OptLevel;
 use levity::m::bytecode::{BDefault, Chunk, Instr, Src, WSrc};
 use levity::m::machine::{MachineError, MachineStats, RunOutcome};
 use levity::m::regmachine::BcMachine;
-use levity::m::syntax::{Binder, Literal, MExpr};
+use levity::m::syntax::{Addr, Atom, Binder, Literal, MExpr, PrimOp};
 use levity::m::verify::{verify, VerifyErrorKind};
-use levity::m::BcProgram;
+use levity::m::{BcProgram, Engine};
 
 /// The golden corpus — kept in lockstep with `golden_core.rs` and
 /// `golden_bytecode.rs`, so every program whose Core and flat code are
@@ -455,6 +455,31 @@ fn a_witness_for_another_program_is_refused() {
         m.run_verified(&ventry),
         Err(MachineError::BadBytecode(_))
     ));
+}
+
+#[test]
+fn an_address_atom_is_a_structured_error_on_every_engine() {
+    // Heap addresses exist only at run time: compiled code has no
+    // operand for one, and no engine may index its heap with an
+    // address taken from the input term.
+    let compiled = compile_with_prelude_opt(GOLDEN[1].1, OptLevel::O2).unwrap();
+    let dangling = Atom::Addr(Addr(7));
+    let terms = [
+        MExpr::Atom(dangling).into(),
+        MExpr::prim(PrimOp::AddI, vec![dangling, Atom::Lit(Literal::Int(1))]),
+    ];
+    for term in terms {
+        for engine in [Engine::Subst, Engine::Env, Engine::Bytecode] {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                compiled.run_term_with_engine(Arc::clone(&term), FUEL, engine)
+            }))
+            .unwrap_or_else(|_| panic!("{engine:?} panicked on {term}"));
+            assert!(
+                result.is_err(),
+                "{engine:?} ran {term} to {result:?}, not a MachineError"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
